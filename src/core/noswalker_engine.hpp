@@ -431,16 +431,6 @@ class NosWalkerEngine {
             num_blocks, config_.alpha, file_->edge_region_bytes(),
             static_cast<std::uint32_t>(page));
 
-        if (config_.plan_window > 0) {
-            // plan_window == 0 must stay byte-for-byte greedy, so the
-            // planner (and its flow bookkeeping) only exists when the
-            // window is open (§13).
-            LoadPlanner::Options opts;
-            opts.window = config_.plan_window;
-            opts.tenant_weight = plan_weight_;
-            planner_ = std::make_unique<LoadPlanner>(*partition_, opts);
-        }
-
         if (config_.walker_management) {
             std::uint64_t cap = config_.max_walkers;
             if (cap == 0) {
@@ -532,6 +522,16 @@ class NosWalkerEngine {
                     budget, (prefetch_slots_ - 1) * aligned,
                     "speculation buffers");
             }
+        }
+        if (config_.plan_window > 0 && prefetch_slots_ > 0) {
+            // plan_window == 0 must stay byte-for-byte greedy, so the
+            // planner (and its flow bookkeeping) only exists when the
+            // window is open — and only when a speculative slot exists
+            // for its plans to fill (§13).
+            LoadPlanner::Options opts;
+            opts.window = config_.plan_window;
+            opts.tenant_weight = plan_weight_;
+            planner_ = std::make_unique<LoadPlanner>(*partition_, opts);
         }
         budget_ = &budget;
         stats_.pipelined = !single_buffer_;
@@ -814,7 +814,12 @@ class NosWalkerEngine {
         }
     }
 
-    /** Drop the buffer of the block with the fewest waiting walkers. */
+    /**
+     * Drop the buffer of the block with the fewest waiting walkers,
+     * the lowest block id among equals — never the map's iteration
+     * order, which depends on bucket counts a reused engine inherits
+     * from its previous run.
+     */
     bool
     evict_coldest_buffer(std::uint32_t except)
     {
@@ -825,7 +830,7 @@ class NosWalkerEngine {
                 continue;
             }
             const std::uint64_t c = scheduler_->count(id);
-            if (c < coldest) {
+            if (c < coldest || (c == coldest && id < victim)) {
                 coldest = c;
                 victim = id;
             }

@@ -221,8 +221,7 @@ class StepKernel {
         lane.source = Source::kUnresolved;
         const graph::VertexId v = eng.waiting_vertex_of(lane.rec);
         delta.kernel_prefetches += util::prefetch_range(
-            eng.file_->offsets().data() + v, 2 * sizeof(graph::EdgeIndex),
-            2);
+            eng.file_->index_entry(v), 2 * sizeof(std::uint32_t), 2);
     }
 
     static bool
@@ -372,8 +371,8 @@ class StepKernel {
     warm_next(E &eng, const Record &rec, Delta &delta)
     {
         delta.kernel_prefetches += util::prefetch_range(
-            eng.file_->offsets().data() + rec.w.location,
-            2 * sizeof(graph::EdgeIndex), 2);
+            eng.file_->index_entry(rec.w.location),
+            2 * sizeof(std::uint32_t), 2);
     }
 
     /**

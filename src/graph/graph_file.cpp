@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -150,25 +151,78 @@ GraphFile::GraphFile(storage::IoDevice &device) : device_(&device)
     if (header.magic != kMagic) {
         throw util::IoError("GraphFile: bad magic");
     }
+    if (header.num_vertices > std::numeric_limits<VertexId>::max()) {
+        throw util::IoError("GraphFile: vertex count exceeds VertexId");
+    }
     num_vertices_ = static_cast<VertexId>(header.num_vertices);
     num_edges_ = header.num_edges;
     flags_ = header.flags;
     record_bytes_ = record_bytes_for(flags_);
     edge_region_offset_ = header.edge_region_offset;
 
-    offsets_.resize(static_cast<std::size_t>(num_vertices_) + 1);
-    const std::uint64_t index_bytes =
-        offsets_.size() * sizeof(EdgeIndex);
-    if (device.size() < kHeaderBytes + index_bytes) {
+    const std::uint64_t entries = std::uint64_t{num_vertices_} + 1;
+    if (edge_region_offset_ != kHeaderBytes + entries * sizeof(EdgeIndex)) {
+        throw util::IoError("GraphFile: edge region does not follow index");
+    }
+    if (device.size() < edge_region_offset_) {
         throw util::IoError("GraphFile: truncated index");
     }
-    device.read(kHeaderBytes, index_bytes, offsets_.data());
-    if (offsets_.back() != num_edges_) {
+    load_index(device, entries);
+    if (edge_begin(num_vertices_) != num_edges_) {
         throw util::IoError("GraphFile: index/edge-count mismatch");
     }
     if (device.size() < file_bytes()) {
         throw util::IoError("GraphFile: truncated edge region");
     }
+}
+
+void
+GraphFile::load_index(storage::IoDevice &device, std::uint64_t entries)
+{
+    constexpr std::uint64_t kGroup = std::uint64_t{1} << kGroupShift;
+    // Entries per read: bounded, and a whole number of groups so every
+    // chunk starts a fresh group.
+    constexpr std::uint64_t kChunk = 1024 * kGroup;
+
+    rel_.resize(entries);
+    group_base_.resize((entries + kGroup - 1) / kGroup);
+    std::vector<EdgeIndex> chunk(std::min(entries, kChunk));
+    EdgeIndex prev = 0;
+    for (std::uint64_t first = 0; first < entries; first += kChunk) {
+        const std::uint64_t n = std::min(kChunk, entries - first);
+        device.read(kHeaderBytes + first * sizeof(EdgeIndex),
+                    n * sizeof(EdgeIndex), chunk.data());
+        if (first == 0 && chunk[0] != 0) {
+            throw util::IoError("GraphFile: index does not start at 0");
+        }
+        for (std::uint64_t g = 0; g < n; g += kGroup) {
+            const EdgeIndex base = chunk[g];
+            const std::uint64_t end = std::min(n, g + kGroup);
+            for (std::uint64_t i = g; i < end; ++i) {
+                if (chunk[i] < prev) {
+                    throw util::IoError("GraphFile: index not monotone");
+                }
+                prev = chunk[i];
+                rel_[first + i] = static_cast<std::uint32_t>(prev - base);
+            }
+            // Monotone, so the group's last entry is its widest.
+            if (prev - base > std::numeric_limits<std::uint32_t>::max()) {
+                throw util::IoError(
+                    "GraphFile: index group spans >= 2^32 edges");
+            }
+            group_base_[(first + g) / kGroup] = base;
+        }
+    }
+}
+
+std::vector<EdgeIndex>
+GraphFile::offsets() const
+{
+    std::vector<EdgeIndex> out(rel_.size());
+    for (std::size_t v = 0; v < out.size(); ++v) {
+        out[v] = edge_begin(static_cast<VertexId>(v));
+    }
+    return out;
 }
 
 VertexView

@@ -16,6 +16,10 @@
  * sequential reads.  The optional alias-table region reproduces the
  * paper's K30W setup where pre-built alias tables inflate the on-disk
  * weighted graph to ~3× the plain CSR (Table 1: 136 GiB → 384 GiB).
+ *
+ * In memory the index is two-level (DESIGN.md §15): one u64 base per
+ * group of 64 index entries plus one u32 per entry holding its offset
+ * from the group base — ~4.125 B per vertex instead of the file's 8.
  */
 #pragma once
 
@@ -133,9 +137,10 @@ struct VertexView {
 /**
  * Reader for the on-disk format.
  *
- * Construction loads the header and the CSR offsets into memory;
- * engines account that index against their memory budget.  Edge data is
- * never touched here — BlockReader streams it.
+ * Construction loads the header and streams the CSR offsets into the
+ * compact two-level index; engines account that index against their
+ * memory budget.  Edge data is never touched here — BlockReader
+ * streams it.
  */
 class GraphFile {
   public:
@@ -154,8 +159,13 @@ class GraphFile {
                       bool with_alias = false);
 
     /**
-     * Open a previously written graph.
-     * @throws util::IoError on bad magic or truncated file.
+     * Open a previously written graph.  The on-disk u64 index is
+     * streamed in bounded chunks straight into the two-level index;
+     * no full 8-byte-per-vertex copy ever exists.
+     * @throws util::IoError on bad magic, a header inconsistent with
+     *         the index, a truncated file, or a corrupt index: offsets
+     *         not starting at 0, decreasing, not ending at E, or a
+     *         64-entry group spanning ≥ 2^32 edges.
      */
     explicit GraphFile(storage::IoDevice &device);
 
@@ -174,17 +184,28 @@ class GraphFile {
     std::uint32_t
     degree(VertexId v) const
     {
-        return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
+        return static_cast<std::uint32_t>(edge_begin(v + 1) - edge_begin(v));
     }
 
-    /** CSR edge index of @p v's first edge. */
-    EdgeIndex edge_begin(VertexId v) const { return offsets_[v]; }
+    /** CSR edge index of @p v's first edge (@p v ≤ V: V yields E). */
+    EdgeIndex
+    edge_begin(VertexId v) const
+    {
+        return group_base_[v >> kGroupShift] + rel_[v];
+    }
+
+    /**
+     * Address of @p v's index entry — what decoding @p v's degree
+     * reads first, for cache-prefetch hints.  The group bases are
+     * 1/16 the size of the entries and stay cache-resident.
+     */
+    const void *index_entry(VertexId v) const { return rel_.data() + v; }
 
     /** Absolute byte offset of @p v's record in the file. */
     std::uint64_t
     vertex_byte_offset(VertexId v) const
     {
-        return edge_region_offset_ + offsets_[v] * record_bytes_;
+        return edge_region_offset_ + edge_begin(v) * record_bytes_;
     }
 
     /** Bytes of @p v's record. */
@@ -211,15 +232,18 @@ class GraphFile {
         return edge_region_offset_ + edge_region_bytes();
     }
 
-    /** In-memory footprint of the CSR index (engines budget this). */
+    /** In-memory footprint of the CSR index (engines budget this):
+     *  4 B per index entry plus 8 B per group of 64. */
     std::uint64_t
     index_bytes() const
     {
-        return offsets_.size() * sizeof(EdgeIndex);
+        return rel_.size() * sizeof(std::uint32_t) +
+               group_base_.size() * sizeof(EdgeIndex);
     }
 
-    /** The in-memory CSR offsets. */
-    const std::vector<EdgeIndex> &offsets() const { return offsets_; }
+    /** The CSR offsets, V+1 entries, expanded into a fresh vector
+     *  (O(V) copy: tests and verification, not hot paths). */
+    std::vector<EdgeIndex> offsets() const;
 
     /**
      * Decode vertex @p v's record from @p raw, the bytes of the edge
@@ -230,13 +254,23 @@ class GraphFile {
                       std::uint64_t raw_begin) const;
 
   private:
+    /** Index entries sharing one u64 group base (log2). */
+    static constexpr unsigned kGroupShift = 6;
+
+    /** Stream the @p entries on-disk u64 offsets into the two-level
+     *  index, validating as it goes. */
+    void load_index(storage::IoDevice &device, std::uint64_t entries);
+
     storage::IoDevice *device_;
     VertexId num_vertices_ = 0;
     EdgeIndex num_edges_ = 0;
     std::uint64_t flags_ = 0;
     std::uint32_t record_bytes_ = 0;
     std::uint64_t edge_region_offset_ = 0;
-    std::vector<EdgeIndex> offsets_;
+    /** Offset of entry 64·g, one per group g of index entries. */
+    std::vector<EdgeIndex> group_base_;
+    /** Entry v's offset minus its group base (V+1 entries). */
+    std::vector<std::uint32_t> rel_;
 };
 
 } // namespace noswalker::graph

@@ -341,6 +341,44 @@ TEST(NosWalkerEngine, RunIsRepeatableOnSameEngineObject)
     EXPECT_EQ(s1.steps, s2.steps);
 }
 
+TEST(NosWalkerEngine, ReusedEngineIsDeterministicWhenPresamplePoolOverflows)
+{
+    // Many small blocks against a pool a few buffers deep: fills evict
+    // constantly, with ties at zero waiting walkers.  The victim must
+    // not depend on the buffer map's bucket count, which a reused
+    // engine carries over from its previous run.
+    Fixture s(graph::generate_rmat({.scale = 11,
+                                    .edge_factor = 8,
+                                    .a = 0.57,
+                                    .b = 0.19,
+                                    .c = 0.19,
+                                    .seed = 27,
+                                    .symmetrize = false,
+                                    .weighted = false}),
+              2048);
+    ASSERT_GE(s.partition->num_blocks(), 32u);
+    const EngineConfig cfg = EngineConfig::full(
+        testing_support::tight_budget(*s.file, *s.partition, 0.2), 2048);
+    using Walk = testing_support::RecordingWalk;
+    const auto run_once = [&](NosWalkerEngine<Walk> &eng) {
+        Walk app(12, s.graph.num_vertices());
+        const engine::RunStats stats = eng.run(app, 3000);
+        EXPECT_GT(stats.presample_steps, 0u);
+        return std::make_pair(stats, std::move(app.transitions));
+    };
+    NosWalkerEngine<Walk> fresh(*s.file, *s.partition, cfg);
+    const auto expected = run_once(fresh);
+    NosWalkerEngine<Walk> reused(*s.file, *s.partition, cfg);
+    for (int r = 0; r < 3; ++r) {
+        const auto got = run_once(reused);
+        EXPECT_EQ(got.second, expected.second) << "run " << r;
+        EXPECT_EQ(got.first.presample_steps, expected.first.presample_steps)
+            << "run " << r;
+        EXPECT_EQ(got.first.blocks_loaded, expected.first.blocks_loaded)
+            << "run " << r;
+    }
+}
+
 TEST(NosWalkerEngine, PresampleFirstPolicyStillCompletes)
 {
     // use_loaded_block=false flips the source priority: pre-samples

@@ -4,7 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
@@ -45,8 +50,9 @@ TEST(GraphFile, RoundTripUnweighted)
         EXPECT_EQ(file.degree(v), g.degree(v));
     }
     EXPECT_EQ(file.edge_region_bytes(), g.num_edges() * 4);
-    EXPECT_EQ(file.index_bytes(),
-              (g.num_vertices() + 1) * sizeof(EdgeIndex));
+    // Two-level index: 4 B per entry + 8 B per 64-entry group.
+    const std::uint64_t entries = g.num_vertices() + 1;
+    EXPECT_EQ(file.index_bytes(), entries * 4 + (entries + 63) / 64 * 8);
 }
 
 TEST(GraphFile, RoundTripWeighted)
@@ -158,6 +164,202 @@ TEST(GraphFile, TooSmallForHeaderRejected)
     std::uint8_t b = 0;
     dev.write(0, 1, &b);
     EXPECT_THROW(GraphFile file(dev), util::IoError);
+}
+
+/**
+ * CSR with @p nv vertices: small cyclic degrees (zeros included) plus
+ * the given hubs, whose records straddle 64-entry index groups.
+ */
+using Hubs = std::vector<std::pair<VertexId, std::uint32_t>>;
+
+CsrGraph
+hub_graph(VertexId nv, const Hubs &hubs, bool weighted)
+{
+    std::vector<EdgeIndex> offsets{0};
+    std::vector<VertexId> targets;
+    std::vector<Weight> weights;
+    for (VertexId v = 0; v < nv; ++v) {
+        std::uint32_t deg = (v * 7 + 3) % 5;
+        for (const auto &[hub, d] : hubs) {
+            if (hub == v) {
+                deg = d;
+            }
+        }
+        for (std::uint32_t i = 0; i < deg; ++i) {
+            targets.push_back(static_cast<VertexId>((v + i) % nv));
+            if (weighted) {
+                weights.push_back(1.0f + static_cast<float>(i % 7));
+            }
+        }
+        offsets.push_back(targets.size());
+    }
+    return CsrGraph(std::move(offsets), std::move(targets),
+                    std::move(weights));
+}
+
+/** Check every index accessor of @p file against the reference CSR. */
+void
+expect_index_matches(const GraphFile &file, const CsrGraph &g)
+{
+    ASSERT_EQ(file.num_vertices(), g.num_vertices());
+    EXPECT_EQ(file.offsets(), g.offsets());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(file.degree(v), g.degree(v)) << "vertex " << v;
+        ASSERT_EQ(file.edge_begin(v), g.offsets()[v]) << "vertex " << v;
+        ASSERT_EQ(file.vertex_byte_offset(v),
+                  file.edge_region_offset() +
+                      g.offsets()[v] * file.record_bytes())
+            << "vertex " << v;
+        ASSERT_EQ(file.vertex_byte_size(v),
+                  std::uint64_t{g.degree(v)} * file.record_bytes());
+    }
+    EXPECT_EQ(file.edge_begin(g.num_vertices()), g.num_edges());
+    const std::uint64_t entries = std::uint64_t{g.num_vertices()} + 1;
+    EXPECT_EQ(file.index_bytes(),
+              entries * sizeof(std::uint32_t) +
+                  (entries + 63) / 64 * sizeof(EdgeIndex));
+}
+
+TEST(GraphFileIndex, RoundTripsAcrossGroupBoundaries)
+{
+    for (const VertexId nv : {1u, 63u, 64u, 65u, 1000u}) {
+        SCOPED_TRACE("V=" + std::to_string(nv));
+        const CsrGraph g = hub_graph(nv, {}, false);
+        MemDevice dev;
+        GraphFile::write(g, dev);
+        expect_index_matches(GraphFile(dev), g);
+    }
+}
+
+TEST(GraphFileIndex, HubsStraddlingGroupsInEveryRecordLayout)
+{
+    // Hubs at the last entry of a group, the first of the next, and a
+    // run of them, so group bases jump by thousands of edges.
+    const Hubs hubs = {
+        {63, 3000}, {64, 2048}, {127, 4096}, {128, 1}, {190, 5000},
+        {191, 5001}, {192, 999}};
+    for (const bool weighted : {false, true}) {
+        for (const bool alias : {false, true}) {
+            if (alias && !weighted) {
+                continue;
+            }
+            SCOPED_TRACE(std::string(weighted ? "weighted" : "plain") +
+                         (alias ? "+alias" : ""));
+            const CsrGraph g = hub_graph(300, hubs, weighted);
+            MemDevice dev;
+            GraphFile::write(g, dev, alias);
+            const GraphFile file(dev);
+            EXPECT_EQ(file.record_bytes(),
+                      alias ? 16u : (weighted ? 8u : 4u));
+            expect_index_matches(file, g);
+
+            // Decoding a straddling hub lands on its own record.
+            std::vector<std::uint8_t> raw(file.edge_region_bytes());
+            dev.read(file.edge_region_offset(), raw.size(), raw.data());
+            for (const auto &[hub, deg] : hubs) {
+                const VertexView view =
+                    file.decode(hub, raw, file.edge_region_offset());
+                ASSERT_EQ(view.degree(), deg);
+                const auto nbrs = g.neighbors(hub);
+                EXPECT_TRUE(std::equal(nbrs.begin(), nbrs.end(),
+                                       view.targets.begin()));
+                EXPECT_EQ(view.alias.size(), alias ? deg : 0u);
+            }
+        }
+    }
+}
+
+/** Overwrite index entry @p i of a written graph in place. */
+void
+poke_offset(MemDevice &dev, std::uint64_t i, EdgeIndex value)
+{
+    std::memcpy(dev.bytes().data() + 48 + i * sizeof(EdgeIndex), &value,
+                sizeof(value));
+}
+
+/** Open @p dev and expect an IoError whose message names @p what. */
+void
+expect_io_error(MemDevice &dev, const std::string &what)
+{
+    try {
+        GraphFile file(dev);
+        ADD_FAILURE() << "opened a corrupt file; expected: " << what;
+    } catch (const util::IoError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(GraphFileIndex, NonMonotoneOffsetsRejected)
+{
+    const CsrGraph g = hub_graph(200, {{70, 40}}, false);
+    MemDevice dev;
+    GraphFile::write(g, dev);
+    // Entry 71 drops below entry 70 (both inside group 1).
+    poke_offset(dev, 71, g.offsets()[70] - 1);
+    expect_io_error(dev, "not monotone");
+}
+
+TEST(GraphFileIndex, NonZeroFirstOffsetRejected)
+{
+    const CsrGraph g = hub_graph(10, {}, false);
+    MemDevice dev;
+    GraphFile::write(g, dev);
+    poke_offset(dev, 0, 1);
+    expect_io_error(dev, "start at 0");
+}
+
+TEST(GraphFileIndex, LastOffsetOtherThanEdgeCountRejected)
+{
+    const CsrGraph g = hub_graph(100, {}, false);
+    MemDevice dev;
+    GraphFile::write(g, dev);
+    poke_offset(dev, g.num_vertices(), g.num_edges() + 1);
+    expect_io_error(dev, "edge-count mismatch");
+}
+
+/** Write a bare header + index, no edge region: V=2, offsets
+ *  {0, x, x}. */
+void
+craft_index(MemDevice &dev, EdgeIndex x)
+{
+    const std::uint64_t header[6] = {0x3146524757534f4eULL, 2, x, 0,
+                                     48 + 3 * sizeof(EdgeIndex), 0};
+    const EdgeIndex offsets[3] = {0, x, x};
+    dev.write(0, sizeof(header), header);
+    dev.write(sizeof(header), sizeof(offsets), offsets);
+}
+
+TEST(GraphFileIndex, GroupSpanningTwoToThe32EdgesRejected)
+{
+    // One group holding 2^32 edges cannot store entry 1 as a u32.
+    MemDevice too_wide;
+    craft_index(too_wide, EdgeIndex{1} << 32);
+    expect_io_error(too_wide, "2^32");
+    // One edge fewer fits the index; only the (absent, 16 GiB) edge
+    // region is then missing.
+    MemDevice widest;
+    craft_index(widest, (EdgeIndex{1} << 32) - 1);
+    expect_io_error(widest, "truncated edge region");
+}
+
+TEST(GraphFileIndex, InconsistentHeaderRejected)
+{
+    const CsrGraph g = hub_graph(10, {}, false);
+    MemDevice dev;
+    GraphFile::write(g, dev);
+    std::uint64_t edge_region = 0;
+    std::memcpy(&edge_region, dev.bytes().data() + 32, 8);
+    ++edge_region;
+    std::memcpy(dev.bytes().data() + 32, &edge_region, 8);
+    expect_io_error(dev, "does not follow index");
+
+    MemDevice huge;
+    craft_index(huge, 0);
+    const std::uint64_t too_many =
+        std::uint64_t{std::numeric_limits<VertexId>::max()} + 1;
+    std::memcpy(huge.bytes().data() + 8, &too_many, 8);
+    expect_io_error(huge, "exceeds VertexId");
 }
 
 class PartitionTest : public testing::Test {

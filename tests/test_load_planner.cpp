@@ -366,6 +366,53 @@ TEST_F(LoadPlannerEngineTest, ShardedWalkBitIdenticalAcrossPlanWindows)
     }
 }
 
+TEST_F(LoadPlannerEngineTest, SingleBufferModeBuildsNoPlanner)
+{
+    // A budget that leaves room for one block buffer only: nothing can
+    // speculate, so an open window must change nothing — not the walk,
+    // and not one non-timing counter.
+    constexpr std::uint64_t kWalkers = 600;
+    const std::uint64_t page = storage::BlockReader::kPageBytes;
+    const std::uint64_t buffer =
+        (partition_->max_block_bytes() / page + 2) * page;
+    const std::uint64_t budget = file_->index_bytes() + 3 * buffer;
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    std::vector<engine::RunStats> stats;
+    for (const unsigned window : {0u, 4u}) {
+        ConcurrentRecordingWalk app(16, file_->num_vertices(), kWalkers);
+        core::EngineConfig cfg = config(window, /*threads=*/1);
+        cfg.memory_budget = budget;
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, cfg);
+        stats.push_back(eng.run(app, kWalkers));
+        endpoints.push_back(app.endpoints);
+    }
+    const engine::RunStats &a = stats[0];
+    const engine::RunStats &b = stats[1];
+    ASSERT_FALSE(a.pipelined) << "budget must force single-buffer mode";
+    ASSERT_FALSE(b.pipelined);
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    const auto counters = [](const engine::RunStats &s) {
+        return std::vector<std::uint64_t>{
+            s.walkers, s.steps, s.graph_bytes_read, s.graph_read_requests,
+            s.edges_loaded, s.swap_bytes, s.blocks_loaded, s.fine_loads,
+            s.cache_hit_blocks, s.cache_miss_blocks, s.prefetch_hits,
+            s.prefetch_mispredicts, s.planned_loads, s.plan_rescores,
+            s.plan_cache_credits, s.migrations, s.migration_batches,
+            s.kernel_cohorts, s.kernel_prefetches,
+            s.kernel_scalar_fallbacks, s.presample_steps, s.block_steps,
+            s.stalls, s.rejection_trials, s.rejection_rejected,
+            s.peak_memory, s.presample_bytes_used,
+            s.presample_bytes_total};
+    };
+    EXPECT_EQ(counters(b), counters(a));
+    // Modeled, so equal up to the rounding of the device's running
+    // busy-time total the two runs are differenced from.
+    EXPECT_NEAR(b.io_busy_seconds, a.io_busy_seconds,
+                1e-9 * a.io_busy_seconds);
+    EXPECT_EQ(b.planned_loads, 0u);
+}
+
 TEST_F(LoadPlannerEngineTest, ColdVsWarmCacheKeepsOutputStable)
 {
     // Against a warm shared cache the planner credits residency (cheap
