@@ -7,6 +7,9 @@
  *    Expected shape: in-memory walking beats NosWalker (~1.5x in the
  *    paper), but once the ~75 %-of-runtime load phase counts,
  *    NosWalker (which pipelines loading with walking) wins overall.
+ *    The "NosWalker/unl" row is NosWalker with an unlimited budget,
+ *    where it keeps every processed block resident and reads each
+ *    block once (DESIGN.md §16).
  *  - KnightKing cluster model (4 nodes, 10 Gbps) on TW'/YH':
  *    computation is competitive, but loading dominates its total.
  */
@@ -37,6 +40,15 @@ main()
         bench::print_table_row(
             {"ThunderRW~", bench::fmt_double(si.cpu_seconds, 4),
              bench::fmt_double(si.modeled_seconds(), 4)});
+        apps::BasicRandomWalk a0(10, h.file->num_vertices());
+        core::EngineConfig unlimited = env.noswalker_config(h);
+        unlimited.memory_budget = 0;
+        core::NosWalkerEngine<apps::BasicRandomWalk> nu(
+            *h.file, *h.partition, unlimited);
+        const auto su = nu.run(a0, walkers);
+        bench::print_table_row({"NosWalker/unl",
+                                bench::fmt_double(su.cpu_seconds, 4),
+                                bench::fmt_double(su.modeled_seconds(), 4)});
         apps::BasicRandomWalk a2(10, h.file->num_vertices());
         core::NosWalkerEngine<apps::BasicRandomWalk> nw(
             *h.file, *h.partition, env.noswalker_config(h));
@@ -53,6 +65,10 @@ main()
         std::printf("load fraction of ThunderRW~ total: %.0f%% "
                     "(paper: ~75%%)\n",
                     100.0 * si.io_busy_seconds / si.modeled_seconds());
+        std::printf("NosWalker/unl = NosWalker (unlimited budget): %llu "
+                    "block loads for %u blocks\n",
+                    static_cast<unsigned long long>(su.blocks_loaded),
+                    h.partition->num_blocks());
     }
 
     {

@@ -14,19 +14,19 @@
  * `EngineConfig::step_cohort` lanes.  Each rotation is two stages:
  *
  *   1. **resolve + gather** — for every lane, decide which resident
- *      source will serve the walker's next event (the loaded block, a
- *      pre-sample reservoir, a direct low-degree reservation, or a
- *      second-order candidate's adjacency) by replaying chain_move's
- *      exact decision tree, then issue software prefetches for the
- *      bytes the draw will touch.  The event's RNG is constructed here
- *      (one stage early — same per-walker stream order), so draw-hint
- *      apps can dry-run the draw on a copy and name the *exact* line
- *      sample() will read (DrawHintApp); other apps fall back to
- *      head-line hints (GatherHintApp / gather_prefetch).  Resolution
- *      is *pure* apart from the walker's own rng_state advance: it
- *      reads only per-round immutable state (block residency,
- *      published drain snapshots, CSR degrees), so no lane's
- *      resolution depends on another lane's progress.
+ *      source will serve the walker's next event (the loaded or a
+ *      retained block, a pre-sample reservoir, a direct low-degree
+ *      reservation, or a second-order candidate's adjacency) by
+ *      replaying chain_move's exact decision tree, then issue software
+ *      prefetches for the bytes the draw will touch.  The event's RNG
+ *      is constructed here (one stage early — same per-walker stream
+ *      order), so draw-hint apps can dry-run the draw on a copy and
+ *      name the *exact* line sample() will read (DrawHintApp); other
+ *      apps fall back to head-line hints (GatherHintApp /
+ *      gather_prefetch).  Resolution is *pure* apart from the walker's
+ *      own rng_state advance: it reads only per-round immutable state
+ *      (block residency, published drain snapshots, CSR degrees), so
+ *      no lane's resolution depends on another lane's progress.
  *   2. **sample + advance** — consume the prefetched lines: draw from
  *      the walker's private stream, apply the app action, and either
  *      keep the lane (the walker can move again next rotation) or bank
@@ -224,15 +224,6 @@ class StepKernel {
             eng.file_->index_entry(v), 2 * sizeof(std::uint32_t), 2);
     }
 
-    static bool
-    block_has(const E &eng, const storage::BlockBuffer *buf,
-              graph::VertexId v)
-    {
-        return buf != nullptr && buf->info() != nullptr &&
-               buf->info()->contains(v) &&
-               buf->vertex_loaded(*eng.file_, v);
-    }
-
     /**
      * App-refined (or generic) prefetch of what the draw will read.
      * @p rng is the event's already-constructed generator; draw-hint
@@ -269,9 +260,10 @@ class StepKernel {
         if constexpr (E::kSecondOrder) {
             if (app.has_candidate(rec.w)) {
                 const graph::VertexId c = app.candidate(rec.w);
-                if (block_has(eng, buf, c)) {
+                if (const storage::BlockBuffer *src =
+                        eng.source_for(buf, c)) {
                     lane.source = Source::kCandidate;
-                    lane.view = buf->view(*eng.file_, c);
+                    lane.view = src->view(*eng.file_, c);
                     lane.rng =
                         util::Rng(util::splitmix_next(rec.rng_state));
                     gather(app, rec, lane.view, lane.rng, delta);
@@ -303,10 +295,10 @@ class StepKernel {
             lane.source = Source::kRetire;
             return;
         }
-        const bool in_block = block_has(eng, buf, v);
-        if (eng.config_.use_loaded_block && in_block) {
+        const storage::BlockBuffer *src = eng.source_for(buf, v);
+        if (eng.config_.use_loaded_block && src != nullptr) {
             lane.source = Source::kBlock;
-            lane.view = buf->view(*eng.file_, v);
+            lane.view = src->view(*eng.file_, v);
             lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
             gather(app, rec, lane.view, lane.rng, delta);
             return;
@@ -341,9 +333,9 @@ class StepKernel {
                 }
             }
         }
-        if (!eng.config_.use_loaded_block && in_block) {
+        if (!eng.config_.use_loaded_block && src != nullptr) {
             lane.source = Source::kBlock;
-            lane.view = buf->view(*eng.file_, v);
+            lane.view = src->view(*eng.file_, v);
             lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
             gather(app, rec, lane.view, lane.rng, delta);
             return;

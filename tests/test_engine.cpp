@@ -167,7 +167,10 @@ TEST(NosWalkerEngine, DeterministicForSeed)
                                   .symmetrize = false,
                                   .weighted = false}),
             4096);
-    EngineConfig cfg = EngineConfig::full(0, 4096);
+    // A finite budget keeps pre-sampling in the determinism check; an
+    // unlimited one would retain blocks and skip it (DESIGN.md §16).
+    EngineConfig cfg = EngineConfig::full(
+        testing_support::tight_budget(*s.file, *s.partition), 4096);
     cfg.loader_threads = 0; // synchronous: fully deterministic schedule
     testing_support::RecordingWalk app1(6, s.graph.num_vertices());
     testing_support::RecordingWalk app2(6, s.graph.num_vertices());
@@ -177,7 +180,9 @@ TEST(NosWalkerEngine, DeterministicForSeed)
                                                        *s.partition, cfg);
     const auto s1 = e1.run(app1, 200);
     const auto s2 = e2.run(app2, 200);
+    EXPECT_GT(s1.presample_steps, 0u);
     EXPECT_EQ(s1.steps, s2.steps);
+    EXPECT_EQ(s1.presample_steps, s2.presample_steps);
     EXPECT_EQ(s1.graph_bytes_read, s2.graph_bytes_read);
     EXPECT_EQ(app1.transitions, app2.transitions);
 }
@@ -339,6 +344,9 @@ TEST(NosWalkerEngine, RunIsRepeatableOnSameEngineObject)
     const auto s1 = eng.run(app, 20);
     const auto s2 = eng.run(app, 20);
     EXPECT_EQ(s1.steps, s2.steps);
+    // Retained blocks (DESIGN.md §16) must not leak into the rerun.
+    EXPECT_GT(s1.blocks_loaded, 0u);
+    EXPECT_EQ(s1.blocks_loaded, s2.blocks_loaded);
 }
 
 TEST(NosWalkerEngine, ReusedEngineIsDeterministicWhenPresamplePoolOverflows)

@@ -177,10 +177,15 @@ TEST_F(RwrTest, MatchesInMemoryDistribution)
     apps::RandomWalkWithRestart a2(3, 2000, 25, 0.25);
     baselines::InMemoryEngine<apps::RandomWalkWithRestart> im(*file_);
     im.run(a1, a1.total_walkers());
-    core::EngineConfig cfg = core::EngineConfig::full(0, 4096);
+    // A finite budget, so pre-samples serve steps: they must not skew
+    // the estimates (an unlimited budget would skip them, DESIGN.md
+    // §16).
+    core::EngineConfig cfg = core::EngineConfig::full(
+        testing_support::tight_budget(*file_, *partition_), 4096);
     core::NosWalkerEngine<apps::RandomWalkWithRestart> nw(
         *file_, *partition_, cfg);
-    nw.run(a2, a2.total_walkers());
+    const auto stats = nw.run(a2, a2.total_walkers());
+    EXPECT_GT(stats.presample_steps, 0u);
     EXPECT_NEAR(a1.proximity(3), a2.proximity(3), 0.04);
     // A direct neighbour of the source receives comparable mass too.
     const graph::VertexId nbr = graph_.neighbors(3)[0];

@@ -334,6 +334,9 @@ TEST_F(LoadPlannerEngineTest, Node2VecIsBitIdenticalAcrossPlanWindows)
         core::NosWalkerEngine<RecordingNode2Vec> eng(
             *file_, *partition_, config(window, /*threads=*/1));
         const auto stats = eng.run(app, app.total_walkers());
+        if (window > 0) {
+            EXPECT_GT(stats.planned_loads, 0u) << "window " << window;
+        }
         endpoints.push_back(app.endpoints);
         steps.push_back(stats.steps);
     }

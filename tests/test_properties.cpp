@@ -43,7 +43,7 @@ make_graph(Family f)
 {
     switch (f) {
       case Family::kRmat:
-        return graph::generate_rmat({.scale = 10,
+        return graph::generate_rmat({.scale = 12,
                                      .edge_factor = 16,
                                      .a = 0.57,
                                      .b = 0.19,
@@ -52,9 +52,9 @@ make_graph(Family f)
                                      .symmetrize = false,
                                      .weighted = false});
       case Family::kUniform:
-        return graph::generate_uniform(1024, 16, 78);
+        return graph::generate_uniform(4096, 16, 78);
       case Family::kPowerLaw:
-        return graph::generate_power_law(2048, 2.7, 2, 128, 79);
+        return graph::generate_power_law(8192, 2.7, 2, 128, 79);
     }
     return {};
 }
@@ -169,10 +169,10 @@ TEST_P(EngineProperties, DeviceCountersAreConsistent)
 
 TEST_P(EngineProperties, NosWalkerNeverLoadsMoreEdgesPerStepThanGraphWalker)
 {
-    if (budget_ == 0 || budget_ >= file_->file_bytes()) {
-        GTEST_SKIP() << "budget covers the whole graph: both engines "
-                        "cache it and the comparison is about "
-                        "constrained runs";
+    // The sweep graphs are sized so every finite budget is genuinely
+    // out-of-core; unlimited budgets compare the in-memory paths.
+    if (budget_ != 0) {
+        ASSERT_LT(budget_, file_->file_bytes());
     }
     apps::BasicRandomWalk a1(10, graph_.num_vertices());
     apps::BasicRandomWalk a2(10, graph_.num_vertices());

@@ -317,6 +317,43 @@ TEST_F(ShardedEngineTest, MigrationConservationNoLeaksAtClose)
     EXPECT_EQ(shard_steps, stats.steps);
 }
 
+TEST_F(ShardedEngineTest, TotalsSumEveryAdditiveShardCounter)
+{
+    // Each additive counter of the sharded total is the sum over the
+    // per-shard totals: none may be dropped on the way up.  Pre-sample
+    // pools are held by all shards at once, so their bytes add too.
+    const auto additive = [](const engine::RunStats &s) {
+        return std::vector<std::uint64_t>{
+            s.walkers, s.steps, s.graph_bytes_read, s.graph_read_requests,
+            s.edges_loaded, s.swap_bytes, s.blocks_loaded, s.fine_loads,
+            s.cache_hit_blocks, s.cache_miss_blocks, s.prefetch_hits,
+            s.prefetch_mispredicts, s.planned_loads, s.plan_rescores,
+            s.plan_cache_credits, s.kernel_cohorts, s.kernel_prefetches,
+            s.kernel_scalar_fallbacks, s.presample_steps, s.block_steps,
+            s.stalls, s.rejection_trials, s.rejection_rejected,
+            s.presample_bytes_used, s.presample_bytes_total};
+    };
+    core::EngineConfig cfg = config(2, 2);
+    cfg.shard_presample = true;
+    apps::Node2Vec app(2.0, 0.5, 12, file_->num_vertices(), 1);
+    shard::ShardedEngine<apps::Node2Vec> eng(*file_, *partition_, cfg);
+    const engine::RunStats total = eng.run(app, app.total_walkers());
+
+    const std::vector<std::uint64_t> got = additive(total);
+    std::vector<std::uint64_t> sum(got.size(), 0);
+    for (const engine::RunStats &s : eng.shard_stats()) {
+        const std::vector<std::uint64_t> part = additive(s);
+        for (std::size_t i = 0; i < sum.size(); ++i) {
+            sum[i] += part[i];
+        }
+    }
+    EXPECT_EQ(got, sum);
+    EXPECT_GT(total.kernel_cohorts, 0u);
+    EXPECT_GT(total.kernel_prefetches, 0u);
+    EXPECT_GT(total.rejection_trials, 0u);
+    EXPECT_GT(total.presample_bytes_total, 0u);
+}
+
 TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
 {
     constexpr std::uint64_t kWalkers = 300;
