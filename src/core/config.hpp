@@ -11,7 +11,12 @@ namespace noswalker::core {
 
 /** Tunables of the NosWalker engine. */
 struct EngineConfig {
-    /** Memory cap in bytes (0 = unlimited). */
+    /**
+     * Memory cap in bytes (0 = unlimited).  With 0, an engine-private
+     * run keeps every processed block resident (DESIGN.md §16), so
+     * peak memory approaches the CSR index plus the whole edge region.
+     * Callers walking graphs larger than RAM must set a finite budget.
+     */
     std::uint64_t memory_budget = 0;
 
     /** Target coarse block size in bytes of edge data. */
