@@ -13,12 +13,12 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo
-echo "== tier 1: ThreadSanitizer (service, queue, step pool, parallel stepping, prefetch, shards, step kernel, load planner, traffic fuzz, resident blocks) =="
+echo "== tier 1: ThreadSanitizer (service, queue, step pool, parallel stepping, prefetch, shards, step kernel, load planner, traffic fuzz, resident blocks, walker budget share, pre-sample refill, shared index views) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target noswalker_tests
 # The 50-seed fuzz sweep stays in the full (fast) build; TSan runs the
 # reduced seed sweep (TrafficModel.ReducedSeedSweepHoldsInvariants).
-ctest --test-dir build-tsan -R 'Service|BlockingQueue|ThreadPool|ParallelStep|Prefetch|AsyncLoader|Reorder|SharedBlockCache|Sharded|Migration|MigrationOverlap|ShardPresample|StepKernel|LoadPlanner|PlanWindow|TrafficModel|Backpressure|ResidentBlocks' -E 'FiftySeeded' --output-on-failure
+ctest --test-dir build-tsan -R 'Service|BlockingQueue|ThreadPool|ParallelStep|Prefetch|AsyncLoader|Reorder|SharedBlockCache|Sharded|Migration|MigrationOverlap|ShardPresample|StepKernel|LoadPlanner|PlanWindow|TrafficModel|Backpressure|ResidentBlocks|InheritThePoolShare|UncappableBlock|ViewSharesTheIndex' -E 'FiftySeeded' --output-on-failure
 
 echo
 echo "== tier 1: prefetch smoke (reorder-window + depth ablations) =="

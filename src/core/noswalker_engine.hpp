@@ -122,6 +122,13 @@ class NosWalkerEngine {
         shared_budget_ = budget;
     }
 
+    /**
+     * Whether run() charges the CSR index to its budget (the default).
+     * A shard::ShardedEngine turns it off for its shard engines: their
+     * files are views of one index, which it charges once (§11).
+     */
+    void set_charge_index(bool charge) { charge_index_ = charge; }
+
     /** Serve coarse loads through a cache shared with other engines. */
     void set_shared_cache(storage::SharedBlockCache *cache)
     {
@@ -415,9 +422,12 @@ class NosWalkerEngine {
     void
     setup(util::MemoryBudget &budget, std::uint64_t total)
     {
-        // CSR index stays in memory (§3.3.1).
-        index_rsv_ = util::Reservation(budget, file_->index_bytes(),
-                                       "csr index");
+        // CSR index stays in memory (§3.3.1); a sharded engine pays
+        // for its shards' shared index itself (§11).
+        index_rsv_ = charge_index_
+                         ? util::Reservation(budget, file_->index_bytes(),
+                                             "csr index")
+                         : util::Reservation();
 
         // Retention (§16): only an engine that owns an unlimited budget
         // keeps processed blocks.  Shared budgets and caches (the
@@ -456,14 +466,22 @@ class NosWalkerEngine {
             static_cast<std::uint32_t>(page));
 
         if (config_.walker_management) {
+            // Without a pre-sample pool the walkers inherit exactly the
+            // share the pool would have claimed, so speculation keeps
+            // the slack it has with pre-sampling on (§10).
+            const double walker_share =
+                presample_enabled_
+                    ? config_.walker_memory_fraction
+                    : config_.walker_memory_fraction +
+                          (1.0 - config_.walker_memory_fraction) *
+                              config_.presample_memory_fraction;
             std::uint64_t cap = config_.max_walkers;
             if (cap == 0) {
                 const std::uint64_t by_budget =
                     budget.limit() == 0
                         ? std::uint64_t{1} << 18
                         : static_cast<std::uint64_t>(
-                              config_.walker_memory_fraction *
-                              static_cast<double>(rest)) /
+                              walker_share * static_cast<double>(rest)) /
                               sizeof(Record);
                 cap = std::max<std::uint64_t>(
                     64, std::min<std::uint64_t>(by_budget,
@@ -798,26 +816,26 @@ class NosWalkerEngine {
             return;
         }
 
+        // A plan over the per-block cap can never fit: skip the block
+        // without evicting anyone else's buffer.
+        std::optional<PreSampleBuffer::Plan> plan =
+            PreSampleBuffer::plan(*file_, block, params, previous);
+        if (!plan) {
+            return;
+        }
         // Fills charge the pool's own accountant, never the global
         // budget: eviction pressure here must depend only on the
         // depth-invariant pool cap, not on whatever else (speculation
         // buffers, concurrent tenants) the global budget holds (§10).
-        std::unique_ptr<PreSampleBuffer> fresh;
-        for (;;) {
-            try {
-                fresh = std::make_unique<PreSampleBuffer>(
-                    *file_, block, params, previous, *presample_budget_);
-                break;
-            } catch (const util::BudgetExceeded &) {
-                if (!evict_coldest_buffer(block.id)) {
-                    return; // cannot fit: skip pre-sampling this block
-                }
-                // Eviction may have invalidated `previous`.
-                const auto again = buffers_.find(block.id);
-                previous =
-                    again != buffers_.end() ? again->second.get() : nullptr;
+        // Eviction never touches this block's own buffer, so the plan
+        // (drawn from `previous`) stays valid.
+        while (plan->bytes > presample_budget_->available()) {
+            if (!evict_coldest_buffer(block.id)) {
+                return; // cannot fit: skip pre-sampling this block
             }
         }
+        auto fresh = std::make_unique<PreSampleBuffer>(std::move(*plan),
+                                                       *presample_budget_);
 
         fill_buffer(app, response, *fresh);
         buffers_[block.id] = std::move(fresh);
@@ -1359,6 +1377,8 @@ class NosWalkerEngine {
     bool presample_enabled_ = false;
 
     util::MemoryBudget *shared_budget_ = nullptr;
+    /** Whether setup() charges the CSR index (set_charge_index). */
+    bool charge_index_ = true;
     storage::SharedBlockCache *shared_cache_ = nullptr;
     std::uint64_t local_io_bytes_ = 0;
     std::uint64_t local_io_requests_ = 0;

@@ -1,126 +1,144 @@
 #include "core/presample_buffer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace noswalker::core {
+
+namespace {
+
+/** Bytes of the per-vertex meta arrays for @p nv vertices: idx (nv+1)
+ *  plus cnt, snap, direct and filled. */
+std::uint64_t
+meta_bytes(graph::VertexId nv)
+{
+    return (std::uint64_t{nv} + 1) * sizeof(std::uint32_t) +
+           std::uint64_t{nv} * (sizeof(std::atomic<std::uint32_t>) +
+                                sizeof(std::uint32_t) + 2);
+}
+
+} // namespace
+
+std::optional<PreSampleBuffer::Plan>
+PreSampleBuffer::plan(const graph::GraphFile &file,
+                      const graph::BlockInfo &block,
+                      const BuildParams &params,
+                      const PreSampleBuffer *previous)
+{
+    const graph::VertexId nv = block.num_vertices();
+    const std::uint64_t meta = meta_bytes(nv);
+    if (params.max_bytes <= meta) {
+        return std::nullopt;
+    }
+    Plan out;
+    out.block_id = block.id;
+    out.first_vertex = block.first_vertex;
+    out.weighted = file.weighted();
+    out.idx.assign(static_cast<std::size_t>(nv) + 1, 0);
+    out.direct.assign(nv, 0);
+    const std::uint32_t slot_bytes =
+        sizeof(graph::VertexId) +
+        (out.weighted ? sizeof(graph::Weight) : 0u);
+    const std::uint64_t slot_budget =
+        (params.max_bytes - meta) / slot_bytes;
+    const bool history =
+        previous != nullptr && previous->first_vertex_ == out.first_vertex;
+
+    // Demand-driven quotas: low-degree vertices reserve their whole
+    // edge list (§3.3.4); the rest get base_quota scaled by the visit
+    // history (§3.3.2: quota ≈ proportional to cnt), clamped to the
+    // per-vertex cap.  A byte-budget overshoot is corrected below.
+    std::uint64_t pos = 0;
+    for (graph::VertexId i = 0; i < nv; ++i) {
+        out.idx[i] = static_cast<std::uint32_t>(pos);
+        const std::uint32_t deg = file.degree(block.first_vertex + i);
+        if (deg == 0) {
+            continue;
+        }
+        if (deg <= params.low_degree_cutoff) {
+            out.direct[i] = 1;
+            pos += deg;
+            continue;
+        }
+        const std::uint64_t weight =
+            1 + (history
+                     ? previous->cnt_[i].load(std::memory_order_relaxed)
+                     : 0);
+        pos += std::clamp<std::uint64_t>(params.base_quota * weight,
+                                         params.base_quota,
+                                         params.max_quota);
+    }
+    out.idx[nv] = static_cast<std::uint32_t>(pos);
+
+    // If the quotas overshot the slot budget, scale the sampled ones
+    // down uniformly by truncating per-vertex quotas (rare).  Direct
+    // reservations are all-or-nothing and keep their slots.
+    if (pos > slot_budget) {
+        const double scale = static_cast<double>(slot_budget) /
+                             static_cast<double>(pos);
+        std::uint64_t scaled = 0;
+        std::uint32_t prev = 0;
+        for (graph::VertexId i = 0; i < nv; ++i) {
+            std::uint32_t slots = out.idx[i + 1] - prev;
+            prev = out.idx[i + 1];
+            if (!out.direct[i]) {
+                slots = static_cast<std::uint32_t>(
+                    static_cast<double>(slots) * scale);
+            }
+            out.idx[i] = static_cast<std::uint32_t>(scaled);
+            scaled += slots;
+        }
+        out.idx[nv] = static_cast<std::uint32_t>(scaled);
+        pos = scaled;
+    }
+    out.bytes = meta + pos * slot_bytes;
+    return out;
+}
+
+PreSampleBuffer::PreSampleBuffer(Plan plan, util::MemoryBudget &budget)
+    : block_id_(plan.block_id), first_vertex_(plan.first_vertex),
+      weighted_(plan.weighted), idx_(std::move(plan.idx)),
+      direct_(std::move(plan.direct)),
+      reservation_(budget, plan.bytes, "presample buffer")
+{
+    const std::size_t nv = direct_.size();
+    // Atomics are neither copyable nor movable element-wise; construct
+    // a fresh zero-initialized vector and move the buffer in.
+    cnt_ = std::vector<std::atomic<std::uint32_t>>(nv);
+    snap_.assign(nv, 0);
+    filled_.assign(nv, 0);
+    edges_.assign(idx_.back(), graph::kInvalidVertex);
+    if (weighted_) {
+        dweights_.assign(idx_.back(), 0.0f);
+    }
+}
+
+namespace {
+
+PreSampleBuffer::Plan
+plan_or_throw(const graph::GraphFile &file, const graph::BlockInfo &block,
+              const PreSampleBuffer::BuildParams &params,
+              const PreSampleBuffer *previous)
+{
+    std::optional<PreSampleBuffer::Plan> plan =
+        PreSampleBuffer::plan(file, block, params, previous);
+    if (!plan) {
+        throw util::BudgetExceeded("PreSampleBuffer: plan exceeds the cap");
+    }
+    return std::move(*plan);
+}
+
+} // namespace
 
 PreSampleBuffer::PreSampleBuffer(const graph::GraphFile &file,
                                  const graph::BlockInfo &block,
                                  const BuildParams &params,
                                  const PreSampleBuffer *previous,
                                  util::MemoryBudget &budget)
-    : block_id_(block.id), first_vertex_(block.first_vertex),
-      weighted_(file.weighted())
+    : PreSampleBuffer(plan_or_throw(file, block, params, previous), budget)
 {
-    const graph::VertexId nv = block.num_vertices();
-    idx_.assign(static_cast<std::size_t>(nv) + 1, 0);
-    // Atomics are neither copyable nor movable element-wise; construct
-    // a fresh zero-initialized vector and move the buffer in.
-    cnt_ = std::vector<std::atomic<std::uint32_t>>(nv);
-    snap_.assign(nv, 0);
-    direct_.assign(nv, 0);
-    filled_.assign(nv, 0);
-
-    const std::uint64_t meta_bytes =
-        idx_.capacity() * sizeof(std::uint32_t) +
-        cnt_.capacity() * sizeof(std::atomic<std::uint32_t>) +
-        snap_.capacity() * sizeof(std::uint32_t) +
-        direct_.capacity() + filled_.capacity();
-    const std::uint32_t slot_bytes =
-        sizeof(graph::VertexId) +
-        (weighted_ ? sizeof(graph::Weight) : 0u);
-
-    if (params.max_bytes <= meta_bytes) {
-        throw util::BudgetExceeded("PreSampleBuffer: cap below meta size");
-    }
-    const std::uint64_t slot_budget =
-        (params.max_bytes - meta_bytes) / slot_bytes;
-
-    // Pass 1: mandatory direct reservations for low-degree vertices and
-    // history weights for the rest.
-    std::uint64_t direct_slots = 0;
-    std::uint64_t total_weight = 0;
-    std::vector<std::uint32_t> weight(nv, 0);
-    for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
-         ++v) {
-        const std::uint32_t deg = file.degree(v);
-        const std::size_t i = index_of(v);
-        if (deg == 0) {
-            continue;
-        }
-        if (deg <= params.low_degree_cutoff) {
-            direct_[i] = 1;
-            direct_slots += deg;
-        } else {
-            const std::uint32_t hist =
-                previous != nullptr &&
-                        previous->first_vertex_ == first_vertex_
-                    ? previous->cnt_[i].load(std::memory_order_relaxed)
-                    : 0;
-            weight[i] = 1 + hist;
-            total_weight += weight[i];
-        }
-    }
-
-    // Pass 2: demand-driven quotas — base_quota scaled by the visit
-    // history (§3.3.2: quota ≈ proportional to cnt), clamped to the
-    // per-vertex cap.  A byte-budget overshoot is corrected below.
-    (void)total_weight;
-    std::uint64_t pos = 0;
-    for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
-         ++v) {
-        const std::size_t i = index_of(v);
-        idx_[i] = static_cast<std::uint32_t>(pos);
-        const std::uint32_t deg = file.degree(v);
-        std::uint32_t slots = 0;
-        if (deg == 0) {
-            slots = 0;
-        } else if (direct_[i]) {
-            slots = deg;
-        } else {
-            const std::uint64_t want =
-                static_cast<std::uint64_t>(params.base_quota) *
-                weight[i];
-            slots = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-                want, params.base_quota, params.max_quota));
-        }
-        pos += slots;
-    }
-    idx_[nv] = static_cast<std::uint32_t>(pos);
-
-    // If rounding overshot the slot budget, scale down uniformly by
-    // truncating per-vertex quotas (rare; keeps the byte cap honest).
-    if (pos > slot_budget) {
-        const double scale = static_cast<double>(slot_budget) /
-                             static_cast<double>(pos);
-        std::uint64_t new_pos = 0;
-        std::vector<std::uint32_t> new_idx(idx_.size());
-        for (graph::VertexId v = 0; v < nv; ++v) {
-            new_idx[v] = static_cast<std::uint32_t>(new_pos);
-            std::uint32_t slots = idx_[v + 1] - idx_[v];
-            if (!direct_[v]) {
-                slots = static_cast<std::uint32_t>(
-                    static_cast<double>(slots) * scale);
-            }
-            new_pos += slots;
-        }
-        new_idx[nv] = static_cast<std::uint32_t>(new_pos);
-        idx_ = std::move(new_idx);
-        pos = new_pos;
-    }
-
-    edges_.assign(pos, graph::kInvalidVertex);
-    if (weighted_) {
-        dweights_.assign(pos, 0.0f);
-    }
-
-    const std::uint64_t total_bytes =
-        meta_bytes + edges_.capacity() * sizeof(graph::VertexId) +
-        dweights_.capacity() * sizeof(graph::Weight);
-    reservation_ =
-        util::Reservation(budget, total_bytes, "presample buffer");
 }
 
 graph::VertexView

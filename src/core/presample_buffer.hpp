@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph_file.hpp"
@@ -63,17 +64,45 @@ class PreSampleBuffer {
         std::uint32_t low_degree_cutoff = 2;
     };
 
+    /** A buffer's quotas, planned before any storage is allocated. */
+    struct Plan {
+        std::uint32_t block_id = 0;
+        graph::VertexId first_vertex = 0;
+        bool weighted = false;
+        std::vector<std::uint32_t> idx;   ///< slot offsets, size nv+1
+        std::vector<std::uint8_t> direct; ///< full-edge reservation flag
+        /** What the buffer will reserve: meta arrays plus slots. */
+        std::uint64_t bytes = 0;
+    };
+
     /**
-     * Plan the allocation for @p block of @p file.
+     * Plan the quotas for @p block of @p file.
      *
      * @param previous  the block's previous buffer generation (or null);
      *                  its cnt values weight the new quotas.
-     * @param budget    the buffer's memory is reserved here.
-     * @throws util::BudgetExceeded when even the meta array cannot fit.
+     * @return std::nullopt when the meta arrays alone do not fit
+     *         params.max_bytes: no amount of freed pool memory can
+     *         make such a plan fit.
+     */
+    static std::optional<Plan> plan(const graph::GraphFile &file,
+                                    const graph::BlockInfo &block,
+                                    const BuildParams &params,
+                                    const PreSampleBuffer *previous);
+
+    /**
+     * Allocate a planned buffer, reserving plan.bytes from @p budget.
+     * @throws util::BudgetExceeded when they do not fit.
      *
      * After construction the buffer is *planned but unfilled*: the
      * engine streams the block once and calls fill_vertex per vertex
      * (different vertices may be filled from different threads).
+     */
+    PreSampleBuffer(Plan plan, util::MemoryBudget &budget);
+
+    /**
+     * Plan and allocate in one step.
+     * @throws util::BudgetExceeded when plan() finds no plan or the
+     *         planned bytes do not fit @p budget.
      */
     PreSampleBuffer(const graph::GraphFile &file,
                     const graph::BlockInfo &block, const BuildParams &params,
@@ -164,6 +193,15 @@ class PreSampleBuffer {
     void
     publish_drain()
     {
+        // Every cursor bump also bumps consumed_ or stalled_, so an
+        // unchanged total means the snapshot is already current.
+        const std::uint64_t moves =
+            consumed_.load(std::memory_order_relaxed) +
+            stalled_.load(std::memory_order_relaxed);
+        if (moves == published_moves_) {
+            return;
+        }
+        published_moves_ = moves;
         for (std::size_t i = 0; i < snap_.size(); ++i) {
             snap_[i] = cnt_[i].load(std::memory_order_relaxed);
         }
@@ -305,6 +343,8 @@ class PreSampleBuffer {
     std::vector<graph::Weight> dweights_; ///< weights for direct slots
     std::atomic<std::uint64_t> consumed_{0}; ///< total draws (drain estimate)
     std::atomic<std::uint64_t> stalled_{0};  ///< stall visits since build
+    /** consumed_ + stalled_ at the last publish_drain(). */
+    std::uint64_t published_moves_ = 0;
     util::Reservation reservation_;
 };
 

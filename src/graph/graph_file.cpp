@@ -176,6 +176,15 @@ GraphFile::GraphFile(storage::IoDevice &device) : device_(&device)
     }
 }
 
+GraphFile::GraphFile(const GraphFile &base, storage::IoDevice &device)
+    : GraphFile(base)
+{
+    if (device.size() < file_bytes()) {
+        throw util::IoError("GraphFile: view device shorter than the file");
+    }
+    device_ = &device;
+}
+
 void
 GraphFile::load_index(storage::IoDevice &device, std::uint64_t entries)
 {
@@ -184,8 +193,11 @@ GraphFile::load_index(storage::IoDevice &device, std::uint64_t entries)
     // chunk starts a fresh group.
     constexpr std::uint64_t kChunk = 1024 * kGroup;
 
-    rel_.resize(entries);
-    group_base_.resize((entries + kGroup - 1) / kGroup);
+    auto index = std::make_shared<Index>();
+    std::vector<std::uint32_t> &rel = index->rel;
+    std::vector<EdgeIndex> &group_base = index->group_base;
+    rel.resize(entries);
+    group_base.resize((entries + kGroup - 1) / kGroup);
     std::vector<EdgeIndex> chunk(std::min(entries, kChunk));
     EdgeIndex prev = 0;
     for (std::uint64_t first = 0; first < entries; first += kChunk) {
@@ -203,22 +215,25 @@ GraphFile::load_index(storage::IoDevice &device, std::uint64_t entries)
                     throw util::IoError("GraphFile: index not monotone");
                 }
                 prev = chunk[i];
-                rel_[first + i] = static_cast<std::uint32_t>(prev - base);
+                rel[first + i] = static_cast<std::uint32_t>(prev - base);
             }
             // Monotone, so the group's last entry is its widest.
             if (prev - base > std::numeric_limits<std::uint32_t>::max()) {
                 throw util::IoError(
                     "GraphFile: index group spans >= 2^32 edges");
             }
-            group_base_[(first + g) / kGroup] = base;
+            group_base[(first + g) / kGroup] = base;
         }
     }
+    group_base_ = group_base.data();
+    rel_ = rel.data();
+    index_ = std::move(index);
 }
 
 std::vector<EdgeIndex>
 GraphFile::offsets() const
 {
-    std::vector<EdgeIndex> out(rel_.size());
+    std::vector<EdgeIndex> out(index_->rel.size());
     for (std::size_t v = 0; v < out.size(); ++v) {
         out[v] = edge_begin(static_cast<VertexId>(v));
     }

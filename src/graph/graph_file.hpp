@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -140,7 +141,9 @@ struct VertexView {
  * Construction loads the header and streams the CSR offsets into the
  * compact two-level index; engines account that index against their
  * memory budget.  Edge data is never touched here — BlockReader
- * streams it.
+ * streams it.  A view (the second constructor) reads through another
+ * device but shares its base file's index storage, so N shard devices
+ * over one graph hold one decoded index (DESIGN.md §11).
  */
 class GraphFile {
   public:
@@ -168,6 +171,14 @@ class GraphFile {
      *         64-entry group spanning ≥ 2^32 edges.
      */
     explicit GraphFile(storage::IoDevice &device);
+
+    /**
+     * A view of @p base read through @p device, which must serve the
+     * same bytes (a shard::ShardDevice over @p base's store).  Shares
+     * @p base's index storage: no second decode, no second copy.
+     * @throws util::IoError when @p device is shorter than the file.
+     */
+    GraphFile(const GraphFile &base, storage::IoDevice &device);
 
     /** Underlying device. */
     storage::IoDevice &device() const { return *device_; }
@@ -199,7 +210,7 @@ class GraphFile {
      * reads first, for cache-prefetch hints.  The group bases are
      * 1/16 the size of the entries and stay cache-resident.
      */
-    const void *index_entry(VertexId v) const { return rel_.data() + v; }
+    const void *index_entry(VertexId v) const { return rel_ + v; }
 
     /** Absolute byte offset of @p v's record in the file. */
     std::uint64_t
@@ -233,12 +244,13 @@ class GraphFile {
     }
 
     /** In-memory footprint of the CSR index (engines budget this):
-     *  4 B per index entry plus 8 B per group of 64. */
+     *  4 B per index entry plus 8 B per group of 64.  A view reports
+     *  the index it shares; shard::shard_slice says who pays for it. */
     std::uint64_t
     index_bytes() const
     {
-        return rel_.size() * sizeof(std::uint32_t) +
-               group_base_.size() * sizeof(EdgeIndex);
+        return index_->rel.size() * sizeof(std::uint32_t) +
+               index_->group_base.size() * sizeof(EdgeIndex);
     }
 
     /** The CSR offsets, V+1 entries, expanded into a fresh vector
@@ -257,6 +269,14 @@ class GraphFile {
     /** Index entries sharing one u64 group base (log2). */
     static constexpr unsigned kGroupShift = 6;
 
+    /** The two-level index storage, shared by a file and its views. */
+    struct Index {
+        /** Offset of entry 64·g, one per group g of index entries. */
+        std::vector<EdgeIndex> group_base;
+        /** Entry v's offset minus its group base (V+1 entries). */
+        std::vector<std::uint32_t> rel;
+    };
+
     /** Stream the @p entries on-disk u64 offsets into the two-level
      *  index, validating as it goes. */
     void load_index(storage::IoDevice &device, std::uint64_t entries);
@@ -267,10 +287,10 @@ class GraphFile {
     std::uint64_t flags_ = 0;
     std::uint32_t record_bytes_ = 0;
     std::uint64_t edge_region_offset_ = 0;
-    /** Offset of entry 64·g, one per group g of index entries. */
-    std::vector<EdgeIndex> group_base_;
-    /** Entry v's offset minus its group base (V+1 entries). */
-    std::vector<std::uint32_t> rel_;
+    std::shared_ptr<const Index> index_;
+    /** index_'s arrays, cached so edge_begin() costs no extra hop. */
+    const EdgeIndex *group_base_ = nullptr;
+    const std::uint32_t *rel_ = nullptr;
 };
 
 } // namespace noswalker::graph

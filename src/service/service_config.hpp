@@ -116,8 +116,8 @@ struct ServiceConfig {
      * device, and walkers migrate between shards in batches at round
      * barriers.  Results are bit-identical at every value — request
      * output is a pure function of the request seed (DESIGN.md §11).
-     * Note each shard keeps its own CSR index copy, so the minimum
-     * footprint scales with the shard count.
+     * The shards share one CSR index, so the minimum footprint is the
+     * index plus the rest of one engine's floor per shard.
      */
     unsigned num_shards = 1;
 

@@ -9,6 +9,7 @@
 #include "core/config.hpp"
 #include "core/noswalker_engine.hpp"
 #include "service/service_app.hpp"
+#include "shard/shard_plan.hpp"
 #include "shard/sharded_engine.hpp"
 #include "storage/block_reader.hpp"
 #include "util/error.hpp"
@@ -198,10 +199,8 @@ WalkService::WalkService(const graph::GraphFile &file,
         step_pool_ =
             std::make_unique<util::ThreadPool>(config_.step_threads - 1);
     }
-    // Sharded engines duplicate the floor per shard (each shard holds
-    // its own CSR index copy, buffer pair, and minimum walker pool).
-    min_footprint_ = min_run_footprint(file, partition) *
-                     std::max(1u, config_.num_shards);
+    min_footprint_ =
+        min_run_footprint(file, partition, config_.num_shards);
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
     workers_.reserve(config_.num_workers);
     for (unsigned i = 0; i < config_.num_workers; ++i) {
@@ -213,7 +212,8 @@ WalkService::~WalkService() { stop(); }
 
 std::uint64_t
 WalkService::min_run_footprint(const graph::GraphFile &file,
-                               const graph::BlockPartition &partition)
+                               const graph::BlockPartition &partition,
+                               unsigned num_shards)
 {
     // Mirrors NosWalkerEngine::setup() floors: the resident CSR index,
     // one coarse block buffer (page-aligned, single-buffer degraded
@@ -221,8 +221,11 @@ WalkService::min_run_footprint(const graph::GraphFile &file,
     const std::uint64_t page = storage::BlockReader::kPageBytes;
     const std::uint64_t aligned =
         (partition.max_block_bytes() / page + 2) * page;
-    return file.index_bytes() + aligned +
-           64 * sizeof(engine::Stepped<ServiceWalker>);
+    const std::uint64_t engine_floor =
+        file.index_bytes() + aligned +
+        64 * sizeof(engine::Stepped<ServiceWalker>);
+    return shard::sharded_floor(engine_floor, file.index_bytes(),
+                                num_shards);
 }
 
 std::uint64_t

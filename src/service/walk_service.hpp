@@ -139,11 +139,14 @@ class WalkService {
     /**
      * Smallest shared budget one engine run needs over this graph:
      * CSR index + one coarse block buffer + the minimum walker pool.
-     * Requests against a smaller budget are rejected at submission.
+     * With @p num_shards > 1 the shards share one index, so only the
+     * rest repeats per shard (shard::sharded_floor).  Requests against
+     * a smaller budget are rejected at submission.
      */
     static std::uint64_t
     min_run_footprint(const graph::GraphFile &file,
-                      const graph::BlockPartition &partition);
+                      const graph::BlockPartition &partition,
+                      unsigned num_shards = 1);
 
   private:
     using Clock = std::chrono::steady_clock;

@@ -66,4 +66,23 @@ ShardPlan::assign_walker(const graph::BlockPartition &partition,
     return shard_of_block(partition.block_of(vertex));
 }
 
+std::uint64_t
+shard_slice(std::uint64_t budget, std::uint64_t index_bytes, unsigned n)
+{
+    if (budget == 0) {
+        return 0;
+    }
+    const std::uint64_t rest = budget - std::min(budget, index_bytes);
+    return std::max<std::uint64_t>(1, rest / std::max(1u, n));
+}
+
+std::uint64_t
+sharded_floor(std::uint64_t engine_floor, std::uint64_t index_bytes,
+              unsigned n)
+{
+    return index_bytes +
+           (engine_floor - std::min(engine_floor, index_bytes)) *
+               std::max(1u, n);
+}
+
 } // namespace noswalker::shard

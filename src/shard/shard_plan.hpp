@@ -87,4 +87,29 @@ class ShardPlan {
     std::vector<std::uint32_t> first_blocks_; ///< per shard, for lookup
 };
 
+/*
+ * Who pays for the CSR index (DESIGN.md §11): every shard reads a view
+ * of one shared index, so a sharded engine charges it once and each
+ * shard's budget covers only what the shard holds privately.  These
+ * two functions are the whole rule; the engine and the service's
+ * admission floor both apply it.
+ */
+
+/**
+ * Private budget slice of each of @p n shards under @p budget bytes
+ * (0 = unlimited, which stays 0): what is left after the index, split
+ * evenly.  Never 0 for a finite budget, so a budget the index alone
+ * fills leaves the shards a 1-byte slice instead of an unlimited one.
+ */
+std::uint64_t shard_slice(std::uint64_t budget, std::uint64_t index_bytes,
+                          unsigned n);
+
+/**
+ * Smallest budget @p n shards need when one engine needs
+ * @p engine_floor bytes, @p index_bytes of them the index: the index
+ * once, the rest once per shard.
+ */
+std::uint64_t sharded_floor(std::uint64_t engine_floor,
+                            std::uint64_t index_bytes, unsigned n);
+
 } // namespace noswalker::shard

@@ -2,8 +2,8 @@
  * @file
  * Sharded scale-out engine: N NosWalker engines over one graph, each
  * owning a contiguous block range, a private modeled device, and a 1/N
- * slice of the memory budget, stepping concurrently on a fork-join
- * pool (DESIGN.md §11).
+ * slice of what the memory budget leaves after the one CSR index they
+ * all share, stepping concurrently on a fork-join pool (DESIGN.md §11).
  *
  * Execution proceeds in rounds.  Each round, every shard with waiting
  * walkers runs its engine to local quiescence: walkers whose next
@@ -100,15 +100,17 @@ class ShardedEngine {
      *              reads it through a private modeled device).
      * @param partition  1-D block partition of @p file.
      * @param config  engine configuration; num_shards picks the shard
-     *                count (clamped to the block count), memory_budget
-     *                is sliced 1/N per shard.
+     *                count (clamped to the block count); memory_budget
+     *                pays the shared CSR index once and the rest is
+     *                sliced 1/N per shard (shard_slice).
      */
     ShardedEngine(const graph::GraphFile &file,
                   const graph::BlockPartition &partition,
                   core::EngineConfig config)
         : file_(&file), partition_(&partition), config_(config),
           plan_(partition, std::max(1u, config.num_shards)),
-          shard_pool_(plan_.num_shards() - 1)
+          shard_pool_(plan_.num_shards() - 1),
+          index_budget_(config.memory_budget)
     {
         config_.validate();
         build_shards();
@@ -116,7 +118,8 @@ class ShardedEngine {
 
     /**
      * Share one budget across every shard engine (walk-service mode)
-     * instead of the private 1/N slices.  Pass nullptr to revert.
+     * instead of the private 1/N slices; each run charges the shared
+     * index to it once.  Pass nullptr to revert.
      */
     void
     set_shared_budget(util::MemoryBudget *budget)
@@ -166,6 +169,14 @@ class ShardedEngine {
     /** The block assignment. */
     const ShardPlan &plan() const { return plan_; }
 
+    /** Shard @p s's graph file: a view of the base file over the
+     *  shard's private device. */
+    const graph::GraphFile &
+    shard_file(unsigned s) const
+    {
+        return *shards_[s].file;
+    }
+
     /** Migration rounds of the last run. */
     std::uint64_t rounds() const { return rounds_; }
 
@@ -198,6 +209,12 @@ class ShardedEngine {
         rounds_ = 0;
         exchange_ = ExchangeCounters{};
         shard_totals_.assign(n, engine::RunStats{});
+
+        // The shards' files are views of one index: it is charged
+        // here, once, never by the shard engines (shard_slice).
+        const util::Reservation index(
+            shared_budget_ != nullptr ? *shared_budget_ : index_budget_,
+            file_->index_bytes(), "csr index");
 
         engine::RunStats total;
         total.engine = "ShardedNosWalker";
@@ -345,8 +362,9 @@ class ShardedEngine {
   private:
     struct Shard {
         std::unique_ptr<ShardDevice> device;
+        /** View of file_ over the private device, sharing its index. */
         std::unique_ptr<graph::GraphFile> file;
-        /** Private 1/N budget slice (bypassed in shared-budget mode). */
+        /** Private slice (bypassed in shared-budget mode). */
         std::unique_ptr<util::MemoryBudget> budget;
         std::unique_ptr<Engine> engine;
     };
@@ -355,8 +373,8 @@ class ShardedEngine {
     build_shards()
     {
         const unsigned n = plan_.num_shards();
-        const std::uint64_t slice =
-            config_.memory_budget == 0 ? 0 : config_.memory_budget / n;
+        const std::uint64_t slice = shard_slice(
+            config_.memory_budget, file_->index_bytes(), n);
         core::EngineConfig shard_config = config_;
         shard_config.num_shards = 1;
         // The budget is attached explicitly (slice or shared); the
@@ -368,11 +386,12 @@ class ShardedEngine {
             shard.device = std::make_unique<ShardDevice>(
                 file_->device(), file_->device().model());
             shard.file =
-                std::make_unique<graph::GraphFile>(*shard.device);
+                std::make_unique<graph::GraphFile>(*file_, *shard.device);
             shard.budget = std::make_unique<util::MemoryBudget>(slice);
             shard.engine = std::make_unique<Engine>(
                 *shard.file, *partition_, shard_config);
             shard.engine->set_shared_budget(shard.budget.get());
+            shard.engine->set_charge_index(false);
             shards_.push_back(std::move(shard));
         }
     }
@@ -528,8 +547,9 @@ class ShardedEngine {
             return;
         }
         // Private slices are held simultaneously: the footprint is
-        // their sum (each slice's peak is monotone across rounds).
-        std::uint64_t peak = 0;
+        // the index plus their sum (each slice's peak is monotone
+        // across rounds).
+        std::uint64_t peak = index_budget_.peak();
         for (const Shard &shard : shards_) {
             peak += shard.budget->peak();
         }
@@ -545,6 +565,9 @@ class ShardedEngine {
     util::ThreadPool shard_pool_;
     std::vector<Shard> shards_;
     util::MemoryBudget *shared_budget_ = nullptr;
+    /** The whole memory_budget; holds only the shared index charge
+     *  (private-slice mode), so its peak is what the index adds. */
+    util::MemoryBudget index_budget_;
 
     std::uint64_t rounds_ = 0;
     ExchangeCounters exchange_;

@@ -10,12 +10,14 @@
 #include "apps/basic_rw.hpp"
 #include "apps/weighted_rw.hpp"
 #include "core/noswalker_engine.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
 #include "recording_app.hpp"
 #include "storage/mem_device.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace noswalker::core {
 namespace {
@@ -137,6 +139,75 @@ TEST(NosWalkerEngine, MemoryBudgetPeakRespected)
     const auto stats = eng.run(app, 1000);
     EXPECT_LE(stats.peak_memory, budget);
     EXPECT_GT(stats.peak_memory, 0u);
+}
+
+TEST(NosWalkerEngine, PresampleOffWalkersInheritThePoolShare)
+{
+    // Without a pre-sample pool the walker pool takes the walker share
+    // plus exactly the share the pool would have claimed (DESIGN.md
+    // §10), so a finite budget's high-water mark is the same with
+    // pre-sampling on or off.  Depth 1 reserves no speculation slots,
+    // so the peak is index + buffers + walker pool (+ pre-sample pool).
+    Fixture s(graph::generate_uniform(4000, 8, 5), 4096);
+    const std::uint64_t budget =
+        testing_support::tight_budget(*s.file, *s.partition, 0.25);
+    constexpr std::uint64_t kWalkers = 20000;
+    std::vector<std::uint64_t> peaks;
+    for (const bool presample : {true, false}) {
+        EngineConfig cfg = EngineConfig::full(budget, 4096);
+        cfg.presample = presample;
+        cfg.prefetch_depth = 1;
+        apps::BasicRandomWalk app(3, 4000);
+        NosWalkerEngine<apps::BasicRandomWalk> eng(*s.file, *s.partition,
+                                                   cfg);
+        const auto stats = eng.run(app, kWalkers);
+        EXPECT_EQ(stats.steps, 3 * kWalkers);
+        EXPECT_LE(stats.peak_memory, budget);
+        peaks.push_back(stats.peak_memory);
+    }
+    using Record = NosWalkerEngine<apps::BasicRandomWalk>::Record;
+    // The walker cap is a whole number of records either way.
+    EXPECT_NEAR(static_cast<double>(peaks[1]),
+                static_cast<double>(peaks[0]), 2.0 * sizeof(Record));
+}
+
+TEST(NosWalkerEngine, UncappableBlockLeavesOtherPresampleBuffersIntact)
+{
+    // Block A: 64 hub vertices of degree 64.  Block B: 4000 vertices of
+    // degree 1, each pointing into A, so B's pre-sample meta arrays
+    // (~14 B per vertex) exceed the per-block cap and B never gets a
+    // buffer.  Refilling B must skip B without evicting A's buffer:
+    // B's walkers then step on through A's pre-samples.  Coarse loads
+    // only (shrink_block off), so every load of B tries a refill.
+    constexpr graph::VertexId kHubs = 64;
+    constexpr graph::VertexId kLeaves = 4000;
+    graph::GraphBuilder builder;
+    util::SplitMix64 mix(9);
+    for (graph::VertexId h = 0; h < kHubs; ++h) {
+        for (int k = 0; k < 64; ++k) {
+            builder.add_edge(h, static_cast<graph::VertexId>(
+                                    mix.next() % (kHubs + kLeaves)));
+        }
+    }
+    for (graph::VertexId l = kHubs; l < kHubs + kLeaves; ++l) {
+        builder.add_edge(l, static_cast<graph::VertexId>(l % kHubs));
+    }
+    Fixture s(builder.build(), 16 * 1024);
+    ASSERT_EQ(s.partition->num_blocks(), 2u);
+    const std::uint64_t leaf_meta = 14ULL * kLeaves;
+
+    EngineConfig cfg = EngineConfig::full(
+        s.file->index_bytes() + 48 * 1024 + 200 * 1024, 16 * 1024);
+    cfg.shrink_block = false;
+    apps::BasicRandomWalk app(10, kHubs + kLeaves);
+    NosWalkerEngine<apps::BasicRandomWalk> eng(*s.file, *s.partition, cfg);
+    const auto stats = eng.run(app, 8000);
+    EXPECT_EQ(stats.steps, 80000u);
+    // The scenario's premise: B's plan cannot fit the per-block cap
+    // (a quarter of the pool).
+    ASSERT_GT(stats.presample_bytes_total, 0u);
+    ASSERT_LT(stats.presample_bytes_total / 4, leaf_meta);
+    EXPECT_GT(stats.presample_steps, 0u);
 }
 
 TEST(NosWalkerEngine, InfeasibleBudgetThrows)

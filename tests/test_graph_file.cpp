@@ -55,6 +55,26 @@ TEST(GraphFile, RoundTripUnweighted)
     EXPECT_EQ(file.index_bytes(), entries * 4 + (entries + 63) / 64 * 8);
 }
 
+TEST(GraphFile, ViewSharesTheIndexAndReadsThroughItsDevice)
+{
+    const CsrGraph g = sample_graph(false);
+    MemDevice dev;
+    GraphFile::write(g, dev);
+    const GraphFile base(dev);
+    MemDevice copy;
+    GraphFile::write(g, copy);
+    const GraphFile view(base, copy);
+    EXPECT_EQ(&view.device(), &copy);
+    EXPECT_EQ(view.index_entry(0), base.index_entry(0));
+    EXPECT_EQ(view.index_bytes(), base.index_bytes());
+    EXPECT_EQ(view.offsets(), base.offsets());
+    EXPECT_EQ(view.file_bytes(), base.file_bytes());
+
+    // A device that cannot hold the file is refused.
+    MemDevice empty;
+    EXPECT_THROW(GraphFile(base, empty), util::IoError);
+}
+
 TEST(GraphFile, RoundTripWeighted)
 {
     const CsrGraph g = sample_graph(true);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "core/presample_buffer.hpp"
 #include "graph/generators.hpp"
@@ -264,6 +266,23 @@ TEST_F(PreSampleTest, TinyCapThrowsBudgetExceeded)
     EXPECT_THROW(PreSampleBuffer(*file_, partition_->block(0), params(8),
                                  nullptr, budget),
                  util::BudgetExceeded);
+}
+
+TEST_F(PreSampleTest, PlanNamesTheBytesTheBufferReserves)
+{
+    // A cap below the meta arrays has no plan; otherwise the planned
+    // bytes are exactly what the allocated buffer charges.
+    EXPECT_FALSE(PreSampleBuffer::plan(*file_, partition_->block(0),
+                                       params(8), nullptr));
+    std::optional<PreSampleBuffer::Plan> plan = PreSampleBuffer::plan(
+        *file_, partition_->block(0), params(), nullptr);
+    ASSERT_TRUE(plan);
+    EXPECT_LE(plan->bytes, params().max_bytes);
+    const std::uint64_t planned = plan->bytes;
+    util::MemoryBudget budget(planned);
+    PreSampleBuffer ps(std::move(*plan), budget);
+    EXPECT_EQ(ps.memory_bytes(), planned);
+    EXPECT_EQ(budget.used(), planned);
 }
 
 TEST_F(PreSampleTest, WeightedDirectViewCarriesWeights)

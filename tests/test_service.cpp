@@ -186,8 +186,8 @@ TEST(WalkService, ShardedBackendMatchesPlainServiceBitForBit)
 
 TEST(WalkService, ShardedServiceScalesMinFootprint)
 {
-    // Each shard holds its own CSR index copy and buffers, so the
-    // admission floor multiplies by the shard count: a budget that
+    // Each shard holds its own buffers and walker pool, so the
+    // admission floor grows with the shard count: a budget that
     // admits one engine can reject a four-shard configuration.
     Fixture s(graph::generate_uniform(1000, 8, 5), 4096);
     const std::uint64_t floor_one =
@@ -205,6 +205,40 @@ TEST(WalkService, ShardedServiceScalesMinFootprint)
     const WalkResult result = service.submit(request).get();
     EXPECT_EQ(result.status, WalkStatus::kRejectedBudget);
     EXPECT_EQ(service.counters().rejected_budget, 1u);
+}
+
+TEST(WalkService, ShardedServiceRunsAtTheSharedIndexFloor)
+{
+    // The shards share one CSR index, so the sharded floor is the index
+    // once plus the rest of one engine's floor per shard.  A request
+    // whose budget sits exactly at that floor is admitted and runs; one
+    // byte less is rejected.
+    Fixture s(graph::generate_uniform(1000, 8, 5), 4096);
+    const std::uint64_t floor_one =
+        WalkService::min_run_footprint(*s.file, *s.partition);
+    const std::uint64_t floor_two =
+        WalkService::min_run_footprint(*s.file, *s.partition, 2);
+    EXPECT_EQ(floor_two, 2 * floor_one - s.file->index_bytes());
+
+    WalkRequest request;
+    request.starts = {1}; // one endpoint: 4 bytes of result
+    const std::uint64_t result_bytes = sizeof(graph::VertexId);
+    for (const std::uint64_t slack : {0, 1}) {
+        ServiceConfig cfg;
+        cfg.num_workers = 1;
+        cfg.num_shards = 2;
+        cfg.cache_bytes = 0;
+        cfg.memory_budget = floor_two + result_bytes - slack;
+        WalkService service(*s.file, *s.partition, cfg);
+        const WalkResult result = service.submit(request).get();
+        EXPECT_EQ(result.status,
+                  slack == 0 ? WalkStatus::kOk : WalkStatus::kRejectedBudget)
+            << result.error;
+        if (slack == 0) {
+            EXPECT_EQ(result.endpoints.size(), 1u);
+            EXPECT_LE(service.budget().peak(), cfg.memory_budget);
+        }
+    }
 }
 
 TEST(WalkService, PathsFollowRealEdges)

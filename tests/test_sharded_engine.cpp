@@ -25,6 +25,7 @@
 #include "shard/shard_plan.hpp"
 #include "shard/sharded_engine.hpp"
 #include "storage/mem_device.hpp"
+#include "util/memory_budget.hpp"
 #include "util/rng.hpp"
 
 namespace noswalker {
@@ -379,6 +380,56 @@ TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
     EXPECT_EQ(tight_app.endpoints, free_app.endpoints);
     EXPECT_GT(stats.peak_memory, 0u);
     EXPECT_LE(stats.peak_memory, tight.memory_budget);
+}
+
+TEST_F(ShardedEngineTest, ChargesTheSharedIndexOnce)
+{
+    // The shards read views of one index, so the engine's footprint is
+    // that index once plus each shard's private slice, and the whole
+    // stays inside the budget.
+    constexpr std::uint64_t kWalkers = 300;
+    ShardRecordingWalk app(12, file_->num_vertices(), kWalkers);
+    core::EngineConfig cfg = config(2, 2);
+    cfg.memory_budget =
+        2 * testing_support::tight_budget(*file_, *partition_);
+    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_, cfg);
+    const auto stats = eng.run(app, kWalkers);
+
+    const std::uint64_t index = file_->index_bytes();
+    const std::uint64_t slice =
+        shard::shard_slice(cfg.memory_budget, index, 2);
+    EXPECT_EQ(slice, (cfg.memory_budget - index) / 2);
+    std::uint64_t private_peaks = 0;
+    for (const engine::RunStats &s : eng.shard_stats()) {
+        EXPECT_GT(s.peak_memory, 0u);
+        EXPECT_LE(s.peak_memory, slice);
+        private_peaks += s.peak_memory;
+    }
+    EXPECT_EQ(stats.peak_memory, index + private_peaks);
+    EXPECT_LE(stats.peak_memory, cfg.memory_budget);
+}
+
+TEST_F(ShardedEngineTest, ShardFilesShareTheBaseIndexStorage)
+{
+    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_,
+                                                 config(4, 1));
+    ASSERT_EQ(eng.num_shards(), 4u);
+    for (unsigned s = 0; s < eng.num_shards(); ++s) {
+        const graph::GraphFile &view = eng.shard_file(s);
+        // Same index storage, private device.
+        EXPECT_EQ(view.index_entry(0), file_->index_entry(0));
+        EXPECT_EQ(view.index_bytes(), file_->index_bytes());
+        EXPECT_NE(&view.device(), &file_->device());
+    }
+}
+
+TEST_F(ShardedEngineTest, BudgetBelowTheIndexThrows)
+{
+    ShardRecordingWalk app(4, file_->num_vertices(), 10);
+    core::EngineConfig cfg = config(2, 1);
+    cfg.memory_budget = file_->index_bytes() - 1;
+    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_, cfg);
+    EXPECT_THROW(eng.run(app, 10), util::BudgetExceeded);
 }
 
 TEST_F(ShardedEngineTest, RerunRepeatsAcrossPlacements)
