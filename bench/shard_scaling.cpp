@@ -3,7 +3,7 @@
  * Shard-count ablation for the sharded scale-out engine (DESIGN.md
  * §11): basic and node2vec walks on the K30' twin across 1/2/4/8
  * shards, each shard owning a private modeled device and a 1/N budget
- * slice, with the overlapped-migration knob toggled per row.
+ * slice.
  *
  * The base device model is slowed by 2048x (both bandwidth and IOPS)
  * so the runs sit firmly in the IO-bound regime the paper's out-of-core
@@ -11,12 +11,12 @@
  * deterministic and the measured-CPU term (noisy on small containers)
  * never masks it.  Expected shape: modeled time falls with the shard
  * count while the migration tax (walkers crossing shard boundaries)
- * grows — and with shard_overlap on, most of that tax hides behind the
- * remainder of each round (migr ovl(s)) instead of stretching the
- * modeled time (migr wait(s)).
+ * grows — and most of that tax hides behind the remainder of each
+ * round (migr ovl(s)) instead of stretching the modeled time (migr
+ * wait(s)).
  *
- * Output: one table row and one --json record per (workload, overlap,
- * shard count), with modeled seconds, rounds, migration counters, the
+ * Output: one table row and one --json record per (workload, shard
+ * count), with modeled seconds, rounds, migration counters, the
  * per-shard p99 modeled seconds, and speedup vs the matching 1-shard
  * row.
  */
@@ -58,75 +58,65 @@ run_workload(const char *workload, App &app, std::uint64_t walkers,
              std::uint64_t budget_per_shard, bench::JsonReporter &json,
              const std::string &dataset)
 {
-    for (const bool overlap : {false, true}) {
-        double base_seconds = 0.0;
-        for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-            core::EngineConfig cfg = core::EngineConfig::full(
-                budget_per_shard * shards,
-                partition.target_block_bytes());
-            cfg.num_shards = shards;
-            cfg.shard_overlap = overlap;
-            shard::ShardedEngine<App> engine(file, partition, cfg);
-            const engine::RunStats stats = engine.run(app, walkers);
-            const double seconds = stats.modeled_seconds();
-            if (shards == 1) {
-                base_seconds = seconds;
-            }
-            const double speedup =
-                seconds > 0.0 ? base_seconds / seconds : 0.0;
-
-            std::vector<double> shard_seconds;
-            for (const engine::RunStats &s : engine.shard_stats()) {
-                shard_seconds.push_back(s.modeled_seconds());
-            }
-            const double shard_p99 = p99(std::move(shard_seconds));
-
-            bench::print_table_row(
-                {workload, overlap ? "on" : "off",
-                 std::to_string(engine.num_shards()),
-                 bench::fmt_count(engine.rounds()),
-                 bench::fmt_double(seconds, 4),
-                 bench::fmt_double(speedup, 2) + "x",
-                 bench::fmt_count(stats.migrations),
-                 bench::fmt_double(stats.migration_wait_seconds, 4),
-                 bench::fmt_double(stats.migration_overlap_seconds, 4),
-                 bench::fmt_double(shard_p99, 4)});
-
-            bench::JsonRecord r;
-            r.engine = stats.engine;
-            r.dataset = dataset;
-            r.workload = std::string(workload) + "/shards=" +
-                         std::to_string(engine.num_shards()) +
-                         "/overlap=" + (overlap ? "on" : "off");
-            r.steps = stats.steps;
-            r.steps_per_second =
-                seconds > 0.0
-                    ? static_cast<double>(stats.steps) / seconds
-                    : 0.0;
-            r.io_busy_seconds = stats.io_busy_seconds;
-            r.cpu_seconds = stats.cpu_seconds;
-            r.peak_memory = stats.peak_memory;
-            r.extras.emplace_back(
-                "num_shards",
-                static_cast<double>(engine.num_shards()));
-            r.extras.emplace_back("shard_overlap", overlap ? 1.0 : 0.0);
-            r.extras.emplace_back("modeled_seconds", seconds);
-            r.extras.emplace_back("rounds",
-                                  static_cast<double>(engine.rounds()));
-            r.extras.emplace_back(
-                "migrations", static_cast<double>(stats.migrations));
-            r.extras.emplace_back(
-                "migration_batches",
-                static_cast<double>(stats.migration_batches));
-            r.extras.emplace_back("migration_wait_seconds",
-                                  stats.migration_wait_seconds);
-            r.extras.emplace_back("migration_overlap_seconds",
-                                  stats.migration_overlap_seconds);
-            r.extras.emplace_back("shard_p99_modeled_seconds",
-                                  shard_p99);
-            r.extras.emplace_back("speedup_vs_one_shard", speedup);
-            json.add(std::move(r));
+    double base_seconds = 0.0;
+    for (const unsigned shards : {1u, 2u, 4u, 8u}) {
+        core::EngineConfig cfg = core::EngineConfig::full(
+            budget_per_shard * shards, partition.target_block_bytes());
+        cfg.num_shards = shards;
+        shard::ShardedEngine<App> engine(file, partition, cfg);
+        const engine::RunStats stats = engine.run(app, walkers);
+        const double seconds = stats.modeled_seconds();
+        if (shards == 1) {
+            base_seconds = seconds;
         }
+        const double speedup =
+            seconds > 0.0 ? base_seconds / seconds : 0.0;
+
+        std::vector<double> shard_seconds;
+        for (const engine::RunStats &s : engine.shard_stats()) {
+            shard_seconds.push_back(s.modeled_seconds());
+        }
+        const double shard_p99 = p99(std::move(shard_seconds));
+
+        bench::print_table_row(
+            {workload, std::to_string(engine.num_shards()),
+             bench::fmt_count(engine.rounds()),
+             bench::fmt_double(seconds, 4),
+             bench::fmt_double(speedup, 2) + "x",
+             bench::fmt_count(stats.migrations),
+             bench::fmt_double(stats.migration_wait_seconds, 4),
+             bench::fmt_double(stats.migration_overlap_seconds, 4),
+             bench::fmt_double(shard_p99, 4)});
+
+        bench::JsonRecord r;
+        r.engine = stats.engine;
+        r.dataset = dataset;
+        r.workload = std::string(workload) + "/shards=" +
+                     std::to_string(engine.num_shards());
+        r.steps = stats.steps;
+        r.steps_per_second =
+            seconds > 0.0 ? static_cast<double>(stats.steps) / seconds
+                          : 0.0;
+        r.io_busy_seconds = stats.io_busy_seconds;
+        r.cpu_seconds = stats.cpu_seconds;
+        r.peak_memory = stats.peak_memory;
+        r.extras.emplace_back("num_shards",
+                              static_cast<double>(engine.num_shards()));
+        r.extras.emplace_back("modeled_seconds", seconds);
+        r.extras.emplace_back("rounds",
+                              static_cast<double>(engine.rounds()));
+        r.extras.emplace_back(
+            "migrations", static_cast<double>(stats.migrations));
+        r.extras.emplace_back(
+            "migration_batches",
+            static_cast<double>(stats.migration_batches));
+        r.extras.emplace_back("migration_wait_seconds",
+                              stats.migration_wait_seconds);
+        r.extras.emplace_back("migration_overlap_seconds",
+                              stats.migration_overlap_seconds);
+        r.extras.emplace_back("shard_p99_modeled_seconds", shard_p99);
+        r.extras.emplace_back("speedup_vs_one_shard", speedup);
+        json.add(std::move(r));
     }
 }
 
@@ -167,7 +157,7 @@ main(int argc, char **argv)
 
     bench::print_table_header(
         "Sharded NosWalker, K30', slowed devices",
-        {"workload", "overlap", "shards", "rounds", "time(s)", "speedup",
+        {"workload", "shards", "rounds", "time(s)", "speedup",
          "migrations", "migr wait(s)", "migr ovl(s)", "shard p99(s)"});
 
     apps::BasicRandomWalk basic(length, v);
@@ -181,8 +171,8 @@ main(int argc, char **argv)
     std::printf(
         "\nshards split the block range across private devices, so the "
         "per-round IO phase shrinks ~1/N; the migration tax is the "
-        "price of walkers crossing shard boundaries.  With overlap on, "
-        "per-bucket flushes hide most of that tax behind the remainder "
+        "price of walkers crossing shard boundaries.  Per-bucket "
+        "flushes hide most of that tax behind the remainder "
         "of the round (migr ovl) and only the residual stretches the "
         "modeled time (migr wait).\n");
     return 0;

@@ -13,12 +13,12 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo
-echo "== tier 1: ThreadSanitizer (service, queue, step pool, parallel stepping, prefetch, shards, step kernel, load planner, traffic fuzz, resident blocks, walker budget share, pre-sample refill, shared index views) =="
+echo "== tier 1: ThreadSanitizer (service, queue, step pool, parallel stepping, prefetch, shards, step kernel, traffic fuzz, resident blocks, walker budget share, pre-sample refill, shared index views) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target noswalker_tests
 # The 50-seed fuzz sweep stays in the full (fast) build; TSan runs the
 # reduced seed sweep (TrafficModel.ReducedSeedSweepHoldsInvariants).
-ctest --test-dir build-tsan -R 'Service|BlockingQueue|ThreadPool|ParallelStep|Prefetch|AsyncLoader|Reorder|SharedBlockCache|Sharded|Migration|MigrationOverlap|ShardPresample|StepKernel|LoadPlanner|PlanWindow|TrafficModel|Backpressure|ResidentBlocks|InheritThePoolShare|UncappableBlock|ViewSharesTheIndex' -E 'FiftySeeded' --output-on-failure
+ctest --test-dir build-tsan -R 'Service|BlockingQueue|ThreadPool|ParallelStep|Prefetch|AsyncLoader|Reorder|SharedBlockCache|Sharded|Migration|MigrationOverlap|ShardPresample|StepKernel|TrafficModel|Backpressure|ResidentBlocks|InheritThePoolShare|UncappableBlock|ViewSharesTheIndex' -E 'FiftySeeded' --output-on-failure
 
 echo
 echo "== tier 1: prefetch smoke (reorder-window + depth ablations) =="
@@ -30,17 +30,11 @@ echo "== tier 1: sharded smoke (cross-shard bit-identity + migration conservatio
 ctest --test-dir build -R 'Sharded|Migration|ShardPlan' --output-on-failure -j "$JOBS"
 ./build/bench/shard_scaling >/dev/null
 
-echo
-echo "== tier 1: shard-overlap smoke (barrier vs overlapped bit-identity + shard presample) =="
-ctest --test-dir build -R 'MigrationOverlap|ShardPresample' --output-on-failure -j "$JOBS"
 
 echo
 echo "== tier 1: cohort smoke (scalar vs cohort bit-identity + batch draws) =="
 ctest --test-dir build -R 'StepKernel|AliasTableBatch' --output-on-failure -j "$JOBS"
 
-echo
-echo "== tier 1: plan-window smoke (greedy passthrough + bit-identity across windows) =="
-ctest --test-dir build -R 'LoadPlanner|PlanWindow' --output-on-failure -j "$JOBS"
 
 echo
 echo "== tier 1: service-traffic fuzz smoke (seeded episodes + conservation invariants + tenant backpressure) =="

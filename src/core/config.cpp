@@ -28,10 +28,6 @@ EngineConfig::validate() const
         throw util::ConfigError(
             "EngineConfig: prefetch_reorder_window must be <= 64");
     }
-    if (plan_window > 64) {
-        throw util::ConfigError(
-            "EngineConfig: plan_window must be <= 64");
-    }
     if (step_cohort > 1024) {
         throw util::ConfigError(
             "EngineConfig: step_cohort must be <= 1024");

@@ -102,56 +102,13 @@ struct EngineConfig {
      * the plain single-engine path).  Each shard owns a contiguous
      * block range, a private modeled device, and a 1/N slice of the
      * memory budget; walkers crossing a shard boundary migrate in
-     * batches at deterministic round barriers.  Output is bit-identical
-     * at every value (DESIGN.md §11); note the sharded path runs with
-     * pre-sampling off, so compare shard counts against each other,
-     * not against a presampling single-engine run.
+     * batches at deterministic round barriers, flushing emigrants as
+     * block buckets drain so the exchange overlaps stepping.  Output
+     * is bit-identical at every value (DESIGN.md §11); note shard
+     * rounds never pre-sample, so compare shard counts against each
+     * other, not against a presampling single-engine run.
      */
     unsigned num_shards = 1;
-
-    /**
-     * Overlapped shard migration (DESIGN.md §11): shards flush
-     * emigrant consignments to the exchange incrementally as block
-     * buckets drain (instead of one post at the round barrier), and
-     * completed consignments are staged while the destination shard is
-     * still stepping — so the wire time overlaps with the remainder of
-     * the round, and only the residual the stepping could not hide is
-     * charged as migration_wait_seconds (the hidden portion is
-     * reported in migration_overlap_seconds).  Staged immigrants are
-     * admitted at the round boundary in (dst, src, flush-seq) order,
-     * so the walker set entering round r+1 — and therefore walk output
-     * — is byte-identical to the hard-barrier version (false).
-     */
-    bool shard_overlap = true;
-
-    /**
-     * Re-enable pre-sampling inside shard rounds (DESIGN.md §11).
-     * Shard reservoirs are filled from shard-owned blocks with streams
-     * derived from (seed, block id, rebuild generation), and drying is
-     * snapshot-published at step-round barriers, so with this on walk
-     * output is still a pure function of (seed, shard plan): identical
-     * across step-thread counts and across barrier/overlapped
-     * migration.  It is *not* identical across different shard counts
-     * — each plan partitions the visit history differently — which is
-     * why the default stays off (the cross-shard-count bit-identity
-     * contract of num_shards).
-     */
-    bool shard_presample = false;
-
-    /**
-     * Lookahead window of the block-load planner (DESIGN.md §13): at
-     * each nomination point the planner scores the next
-     * prefetch_depth + plan_window hottest candidates by expected
-     * walker-steps-per-byte — propagating each committed pick's bucket
-     * drain one step along the measured block-to-block walker flow,
-     * and discounting blocks resident in the shared cache — and
-     * commits the best sequence to the depth-K pipeline.  0 keeps the
-     * greedy top-K nomination byte for byte.  Like prefetch_depth,
-     * the window never changes walk output: the engine always
-     * processes the scheduler's hottest block; planning only decides
-     * which bytes arrive early.
-     */
-    unsigned plan_window = 4;
 
     /**
      * Completed prefetch loads that may be consumed out of submission

@@ -48,7 +48,6 @@
 
 #include "core/block_scheduler.hpp"
 #include "core/config.hpp"
-#include "core/load_planner.hpp"
 #include "core/prefetch_pipeline.hpp"
 #include "core/presample_buffer.hpp"
 #include "core/step_kernel.hpp"
@@ -143,15 +142,6 @@ class NosWalkerEngine {
      */
     void set_step_pool(util::ThreadPool *pool) { external_pool_ = pool; }
 
-    /**
-     * Fairness weight of the next run's load plans (walk-service
-     * tenants; DESIGN.md §13).  Values in (0, 1] gate the fraction of
-     * speculative slots a plan may commit; anything else means full
-     * weight.  Never affects walk output — only which bytes are
-     * speculated early.
-     */
-    void set_plan_weight(double weight) { plan_weight_ = weight; }
-
     /** run() with a per-run seed (per-batch walker injection). */
     engine::RunStats
     run(App &app, std::uint64_t total_walkers, std::uint64_t seed)
@@ -171,7 +161,7 @@ class NosWalkerEngine {
      * Route shard-mode emigrants through @p sink incrementally instead
      * of accumulating them all in the run_records out-vector; records
      * still pending at quiescence stay in the out-vector (the caller's
-     * final flush).  Pass nullptr to restore barrier behaviour.  Only
+     * final flush).  Pass nullptr to detach the sink.  Only
      * consulted in shard mode; never changes walk output — it only
      * moves already-merged records out of the engine earlier.
      */
@@ -188,12 +178,10 @@ class NosWalkerEngine {
      * stepped; it is appended to @p emigrants (with its live RNG
      * stream) for the caller to route to the owning shard.
      *
-     * Pre-sampling defaults off for the round: reservoir contents
-     * depend on refill timing, which varies with the shard count, and
-     * would break the cross-shard bit-identity contract (DESIGN.md
-     * §11).  config_.shard_presample re-enables it with shard-local
-     * reservoirs whose contents are a pure function of (seed, shard
-     * plan).  Per-walker streams are untouched by migration, so each
+     * Pre-sampling is off for the round: reservoir contents depend on
+     * refill timing, which varies with the shard count, and would
+     * break the cross-shard bit-identity contract (DESIGN.md §11).
+     * Per-walker streams are untouched by migration, so each
      * trajectory stays a pure function of (seed, walker id, graph).
      */
     engine::RunStats
@@ -349,8 +337,8 @@ class NosWalkerEngine {
      * Hand the emigrants accumulated since the last flush to the sink
      * (overlapped shard migration).  Scheduler thread only, after the
      * merge barrier — the records are final and in outbox order.  A
-     * no-op without a sink (barrier mode): everything stays in the
-     * run_records out-vector for the caller's single post.
+     * no-op without a sink: everything stays in the run_records
+     * out-vector for the caller's single post.
      */
     void
     flush_emigrants()
@@ -389,12 +377,10 @@ class NosWalkerEngine {
         stats_.pipelined = true; // set false later in single-buffer mode
         run_seed_ = seed_override_.value_or(config_.seed);
         seed_override_.reset();
-        // Shard rounds pre-sample only when shard_presample opts in:
-        // reservoir contents vary with the shard count, so the default
-        // preserves cross-shard-count bit-identity (§11).
-        presample_enabled_ =
-            config_.presample &&
-            (!shard_mode_ || config_.shard_presample);
+        // Shard rounds never pre-sample: reservoir contents vary with
+        // the shard count, which would break cross-shard-count
+        // bit-identity (§11).
+        presample_enabled_ = config_.presample && !shard_mode_;
         // Domain-separated stream root for pre-sample fills so they
         // never collide with walker streams.
         presample_seed_ =
@@ -414,8 +400,6 @@ class NosWalkerEngine {
         local_io_bytes_ = 0;
         local_io_requests_ = 0;
         local_io_seconds_ = 0.0;
-        planner_.reset();
-        flow_src_ = BlockScheduler::kNoBlock;
     }
 
     /** Reserve the fixed memory regions and create the components. */
@@ -565,16 +549,6 @@ class NosWalkerEngine {
                     "speculation buffers");
             }
         }
-        if (config_.plan_window > 0 && prefetch_slots_ > 0) {
-            // plan_window == 0 must stay byte-for-byte greedy, so the
-            // planner (and its flow bookkeeping) only exists when the
-            // window is open — and only when a speculative slot exists
-            // for its plans to fill (§13).
-            LoadPlanner::Options opts;
-            opts.window = config_.plan_window;
-            opts.tenant_weight = plan_weight_;
-            planner_ = std::make_unique<LoadPlanner>(*partition_, opts);
-        }
         budget_ = &budget;
         stats_.pipelined = !single_buffer_;
 
@@ -631,24 +605,6 @@ class NosWalkerEngine {
         }
         exclude_scratch_.clear();
         pipeline.collect_covered(exclude_scratch_);
-        if (planner_ != nullptr) {
-            // Windowed lookahead (§13): score prefetch_depth +
-            // plan_window candidates by expected steps-per-byte and
-            // commit the best sequence.  The processed block is still
-            // always the scheduler's hottest, so planning never
-            // changes walk output — only which bytes arrive early.
-            const std::vector<std::uint32_t> &picks = planner_->plan(
-                *scheduler_, shared_cache_, exclude_scratch_,
-                pipeline.depth());
-            for (const std::uint32_t next : picks) {
-                if (!pipeline.can_speculate()) {
-                    break;
-                }
-                pipeline.speculate(partition_->block(next));
-                ++stats_.planned_loads;
-            }
-            return;
-        }
         const std::vector<std::uint32_t> picks =
             scheduler_->top_k_excluding(pipeline.depth(),
                                         exclude_scratch_);
@@ -943,12 +899,7 @@ class NosWalkerEngine {
         if (spill_) {
             spill_->retire(id, bucket.size());
         }
-        // Walkers parked out of this batch flowed *from* this block —
-        // the signal the planner's one-step transition estimate feeds
-        // on (§13).
-        flow_src_ = id;
         step_records(app, bucket, &response);
-        flow_src_ = BlockScheduler::kNoBlock;
     }
 
     /**
@@ -1059,19 +1010,6 @@ class NosWalkerEngine {
         pool_->retire_n(delta.retired + delta.emigrants.size());
         for (Record &rec : delta.emigrants) {
             emigrants_out_->push_back(std::move(rec));
-        }
-        if (planner_ != nullptr) {
-            // Single-writer merge point for both the scalar and the
-            // cohort-kernel paths: every parked walker is one observed
-            // (processed block → waiting block) transition.  Fresh
-            // injections (flow_src_ == kNoBlock) are ignored — they
-            // are arrivals, not flow.
-            planner_->record_exits(flow_src_,
-                                   delta.retired +
-                                       delta.emigrants.size());
-            for (const auto &[block, rec] : delta.parked) {
-                planner_->record_flow(flow_src_, block);
-            }
         }
         for (auto &[block, rec] : delta.parked) {
             pool_->park(block, rec);
@@ -1306,11 +1244,6 @@ class NosWalkerEngine {
                 : 0;
         stats_.prefetch_hits = pipeline.prefetch_hits;
         stats_.prefetch_mispredicts = pipeline.prefetch_mispredicts;
-        if (planner_ != nullptr) {
-            stats_.plan_rescores = planner_->stats().plan_rescores;
-            stats_.plan_cache_credits =
-                planner_->stats().plan_cache_credits;
-        }
         stats_.io_wait_seconds = pipeline.io_wait_seconds;
         local_io_bytes_ = pipeline.bytes_read;
         local_io_requests_ = pipeline.read_requests;
@@ -1369,7 +1302,7 @@ class NosWalkerEngine {
     std::uint32_t owned_begin_ = 0;
     std::uint32_t owned_end_ = 0;
     std::vector<Record> *emigrants_out_ = nullptr;
-    /** Per-bucket consignment sink (overlap mode; null = barrier). */
+    /** Per-bucket consignment sink (null = post all at quiescence). */
     EmigrantSink emigrant_sink_;
     /** Pre-routed records to admit instead of generating (shard mode). */
     std::vector<Record> seed_records_;
@@ -1412,14 +1345,6 @@ class NosWalkerEngine {
 
     std::unique_ptr<WalkerPool<Record>> pool_;
     std::unique_ptr<BlockScheduler> scheduler_;
-    /** Lookahead block-load planner; null when plan_window == 0 so the
-     *  greedy nomination path stays byte-for-byte untouched (§13). */
-    std::unique_ptr<LoadPlanner> planner_;
-    /** Block whose bucket the walkers being merged were stepped from
-     *  (kNoBlock during fresh-injection admission). */
-    std::uint32_t flow_src_ = BlockScheduler::kNoBlock;
-    /** Tenant fairness weight applied to the next run's plans (§13). */
-    double plan_weight_ = 1.0;
     /** The pool's accountant; its cap never varies with prefetch
      *  depth (§10).  Declared before buffers_ so the buffers' RAII
      *  reservations release against a live budget on destruction. */

@@ -58,7 +58,6 @@ RunStats::operator+=(const RunStats &other)
     prefetch_hits += other.prefetch_hits;
     prefetch_mispredicts += other.prefetch_mispredicts;
     planned_loads += other.planned_loads;
-    plan_rescores += other.plan_rescores;
     plan_cache_credits += other.plan_cache_credits;
     migrations += other.migrations;
     migration_batches += other.migration_batches;
@@ -107,7 +106,6 @@ RunStats::scaled(double fraction) const
     out.prefetch_hits = part(prefetch_hits);
     out.prefetch_mispredicts = part(prefetch_mispredicts);
     out.planned_loads = part(planned_loads);
-    out.plan_rescores = part(plan_rescores);
     out.plan_cache_credits = part(plan_cache_credits);
     out.migrations = part(migrations);
     out.migration_batches = part(migration_batches);
@@ -145,9 +143,6 @@ RunStats::to_string() const
         << " mispredicts=" << prefetch_mispredicts
         << " presample_steps=" << presample_steps
         << " block_steps=" << block_steps << " stalls=" << stalls << "\n"
-        << "  planned_loads=" << planned_loads
-        << " plan_rescores=" << plan_rescores
-        << " plan_cache_credits=" << plan_cache_credits << "\n"
         << "  migrations=" << migrations
         << " migration_batches=" << migration_batches
         << " migration_wait_s=" << migration_wait_seconds

@@ -50,12 +50,12 @@ struct RunStats {
      *  (demoted to the shared cache / stash, never discarded). */
     std::uint64_t prefetch_mispredicts = 0;
 
-    /** Speculative loads committed by the LoadPlanner (plan_window > 0;
-     *  DESIGN.md §13). */
+    /** Speculative loads committed by the removed lookahead load
+     *  planner (DESIGN.md §13).  Always 0: kept only because the
+     *  benchmark's core.plan_credit_share reads it. */
     std::uint64_t planned_loads = 0;
-    /** One-step walker-flow propagations applied while planning. */
-    std::uint64_t plan_rescores = 0;
-    /** Planned picks whose cost was discounted for cache residency. */
+    /** Planned picks whose cost the removed planner discounted for
+     *  cache residency.  Always 0, kept for the same reason. */
     std::uint64_t plan_cache_credits = 0;
 
     /** Walkers handed across shard boundaries (sharded engine only). */
@@ -93,7 +93,7 @@ struct RunStats {
      *  barriers (DESIGN.md §11; overlapped by neither phase). */
     double migration_wait_seconds = 0.0;
     /** Modeled exchange seconds *hidden* behind stepping by overlapped
-     *  per-bucket migration flushes (shard_overlap; DESIGN.md §11).
+     *  per-bucket migration flushes (DESIGN.md §11).
      *  Informational: never added to modeled_seconds — it is the part
      *  of the wire cost stepping already covered. */
     double migration_overlap_seconds = 0.0;

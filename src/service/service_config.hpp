@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 
 namespace noswalker::service {
 
@@ -81,31 +80,6 @@ struct ServiceConfig {
      */
     unsigned prefetch_reorder_window = 2;
 
-    /**
-     * Per-engine lookahead window of the block-load planner (see
-     * EngineConfig::plan_window; DESIGN.md §13).  0 keeps the greedy
-     * top-K nomination.  Never changes request output.
-     */
-    unsigned plan_window = 4;
-
-    /**
-     * Per-tenant fairness weights in (0, 1] gating how many
-     * speculative slots a batch's load plans may commit (DESIGN.md
-     * §13).  A batch runs at the *minimum* weight of the tenants
-     * coalesced into it, so a throttled tenant cannot ride a
-     * full-weight batch.  Unlisted tenants run at full weight.  Only
-     * consulted while plan_window > 0; never changes request output.
-     */
-    std::map<std::uint64_t, double> tenant_weights;
-
-    /** The plan weight of @p tenant (1.0 when unlisted). */
-    double
-    tenant_weight(std::uint64_t tenant) const
-    {
-        const auto it = tenant_weights.find(tenant);
-        return it == tenant_weights.end() ? 1.0 : it->second;
-    }
-
     /** Engine walker-pool cap per run (0 = derive from the budget). */
     std::uint64_t max_walkers = 0;
 
@@ -120,25 +94,6 @@ struct ServiceConfig {
      * index plus the rest of one engine's floor per shard.
      */
     unsigned num_shards = 1;
-
-    /**
-     * Overlapped shard migration (num_shards > 1 only; see
-     * EngineConfig::shard_overlap, DESIGN.md §11): emigrant
-     * consignments are flushed to the exchange as block buckets drain
-     * and staged while destination shards still step, so only the
-     * residual wire time is charged as migration wait.  Never changes
-     * request output — admission order is re-sequenced at the round
-     * boundary.
-     */
-    bool shard_overlap = true;
-
-    /**
-     * Deterministic shard-local pre-sampling inside shard rounds (see
-     * EngineConfig::shard_presample).  Request output stays a pure
-     * function of (request seed, shard plan) — i.e. fixed num_shards —
-     * but differs from other shard counts, hence default off.
-     */
-    bool shard_presample = false;
 
     /**
      * Over-budget policy: true queues requests until workers free

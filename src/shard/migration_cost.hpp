@@ -45,9 +45,10 @@ struct MigrationCostModel {
     /**
      * Wire seconds of one flush event: @p messages walker messages in
      * @p batches batches from a single shard.  Same formula as
-     * exchange_seconds — kept as a named entry point so overlapped
-     * per-flush accounting (DESIGN.md §11) and the barrier path price
-     * traffic identically event by event.
+     * exchange_seconds — kept as a named entry point for the
+     * per-flush accounting of overlapped migration (DESIGN.md §11).
+     * Linear in @p messages and @p batches, so a run's flushes sum to
+     * the price of its totals.
      */
     double
     flush_seconds(std::uint64_t messages, std::uint64_t batches,

@@ -12,8 +12,8 @@
  * consignments (MigrationExchange) and become the next round's
  * inboxes.  The round ends when no shard holds a walker.
  *
- * With shard_overlap (the default), shards do not sit on their
- * emigrants until the barrier: the engine flushes each block bucket's
+ * Shards do not sit on their emigrants until the barrier: the engine
+ * flushes each block bucket's
  * emigrants through an EmigrantSink as the bucket drains, the sink
  * posts them to the exchange tagged with a per-shard flush sequence,
  * and opportunistically stages already-posted consignments from other
@@ -24,19 +24,17 @@
  * migration_overlap_seconds).  Staged immigrants are admitted at the
  * round boundary in (dst, src, flush-seq) order, which per (src,dst)
  * pair reconstructs the src shard's outbox order exactly — so the
- * walker set entering round r+1 is byte-identical to the hard-barrier
- * version (shard_overlap = false), and so is every trajectory.
+ * walker set entering round r+1 is the one a single post at the round
+ * barrier would deliver, and every trajectory is independent of when
+ * the flushes happened.
  *
  * Determinism: every walker carries its private SplitMix64 stream
  * (engine::Stepped) across migrations, streams are derived exactly as
  * the plain engine derives them, and pre-sampling — the one mechanism
- * whose output depends on load timing — is off for shard rounds
- * unless shard_presample opts into the deterministic shard-local
- * variant (then output is a pure function of (seed, shard plan)).  By
- * default a trajectory is a pure function of (seed, walker id, graph):
- * endpoints and visit counts are bit-identical across {1, 2, N}
- * shards, any step-thread count, barrier or overlapped migration, and
- * any shard→thread placement.
+ * whose output depends on load timing — is off for shard rounds.  A
+ * trajectory is a pure function of (seed, walker id, graph): endpoints
+ * and visit counts are bit-identical across {1, 2, N} shards, any
+ * step-thread count, and any shard→thread placement.
  *
  * Modeled time: shards run concurrently, so each round contributes the
  * *maximum* of the per-shard I/O / CPU / wait phases; raw counters
@@ -44,9 +42,8 @@
  * MigrationCostModel the KnightKing baseline uses; the k-th of a
  * shard's K flush events gets a hiding window proportional to the
  * round span left after it ((K-1-k)/K), tail flushes (posted at
- * quiescence) get none — which makes barrier mode, whose single post
- * is all tail, degenerate to charging the full exchange cost as wait,
- * exactly as before.
+ * quiescence) get none, so a shard whose emigrants all surface at
+ * quiescence is charged the full exchange cost as wait.
  */
 #pragma once
 
@@ -154,15 +151,6 @@ class ShardedEngine {
         }
     }
 
-    /** Fairness weight of every shard's load plans (DESIGN.md §13). */
-    void
-    set_plan_weight(double weight)
-    {
-        for (Shard &shard : shards_) {
-            shard.engine->set_plan_weight(weight);
-        }
-    }
-
     /** Shards actually planned (num_shards clamped to the blocks). */
     unsigned num_shards() const { return plan_.num_shards(); }
 
@@ -248,8 +236,8 @@ class ShardedEngine {
         std::vector<std::uint64_t> flush_seq(n, 0);
         std::vector<MigrationBatch<Record>> staged;
         std::mutex staged_mutex;
-        const bool overlap = config_.shard_overlap && n > 1;
-        if (overlap) {
+        // A lone shard has nowhere to migrate to, so it needs no sink.
+        if (n > 1) {
             for (unsigned s = 0; s < n; ++s) {
                 shards_[s].engine->set_emigrant_sink(
                     [this, &app, &exchange, &events, &flush_seq, &staged,
@@ -295,8 +283,8 @@ class ShardedEngine {
                 flush_seq[s] = 0;
             }
             // Fork: each shard runs its engine to local quiescence,
-            // flushing emigrants through its sink along the way
-            // (overlap mode), and posts any residue as a tail flush.
+            // flushing emigrants through its sink along the way, and
+            // posts any residue as a tail flush.
             // The pool's run() is the barrier.
             shard_pool_.run(n, [&](std::size_t s) {
                 if (inbox[s].empty()) {
@@ -345,10 +333,9 @@ class ShardedEngine {
                            std::make_move_iterator(batch.records.end()));
             }
         }
-        if (overlap) {
-            for (Shard &shard : shards_) {
-                shard.engine->set_emigrant_sink(nullptr);
-            }
+        // The sinks capture this run's locals.
+        for (Shard &shard : shards_) {
+            shard.engine->set_emigrant_sink(nullptr);
         }
         exchange.assert_conserved();
         exchange.close();
@@ -457,10 +444,8 @@ class ShardedEngine {
      * and tail events (posted at quiescence) get no window at all.
      * The hidden portion min(cost, window) lands in
      * migration_overlap_seconds; only the residual is charged as
-     * migration_wait_seconds.  Barrier mode posts a single tail event
-     * per shard, so everything is residual and the charge equals the
-     * old full-cost barrier accounting (the model is linear in records
-     * and batches).
+     * migration_wait_seconds, so wait + overlap is always the full
+     * flush_seconds of the round's events.
      */
     void
     charge_round_exchange(
@@ -534,14 +519,6 @@ class ShardedEngine {
         total.cpu_seconds = own.cpu_seconds;
         total.io_busy_seconds = own.io_busy_seconds;
         total.io_wait_seconds = own.io_wait_seconds;
-        // Shards hold their pre-sample pools at the same time, so the
-        // run's pool is the sum of each shard's largest round.
-        total.presample_bytes_used = 0;
-        total.presample_bytes_total = 0;
-        for (const engine::RunStats &s : shard_totals_) {
-            total.presample_bytes_used += s.presample_bytes_used;
-            total.presample_bytes_total += s.presample_bytes_total;
-        }
         if (shared_budget_ != nullptr) {
             total.peak_memory = shared_budget_->peak();
             return;

@@ -306,6 +306,29 @@ TEST(RunStats, ModeledTimePolicies)
     EXPECT_DOUBLE_EQ(sync_stalled.modeled_seconds(), 9.0);
 }
 
+TEST(RunStatsPlanner, CountersFoldAndScale)
+{
+    // The plan counters read 0 since the load planner was removed, but
+    // the benchmark still reads them: they keep their fold semantics.
+    engine::RunStats a;
+    a.planned_loads = 10;
+    a.plan_cache_credits = 4;
+    a.cache_miss_blocks = 8;
+    engine::RunStats b;
+    b.planned_loads = 2;
+    b.plan_cache_credits = 3;
+    b.cache_miss_blocks = 2;
+    a += b;
+    EXPECT_EQ(a.planned_loads, 12u);
+    EXPECT_EQ(a.plan_cache_credits, 7u);
+    EXPECT_EQ(a.cache_miss_blocks, 10u);
+
+    const engine::RunStats half = a.scaled(0.5);
+    EXPECT_EQ(half.planned_loads, 6u);
+    EXPECT_EQ(half.plan_cache_credits, 4u); // 3.5 rounds to 4
+    EXPECT_EQ(half.cache_miss_blocks, 5u);
+}
+
 TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
 {
     // Every counter added since the walk-service PR must survive both

@@ -364,6 +364,35 @@ TEST_F(PrefetchTest, BudgetedWalkIsBitIdenticalAcrossDepths)
     }
 }
 
+TEST_F(PrefetchTest, ColdVsWarmCacheKeepsOutputStable)
+{
+    // A warm shared cache changes where coarse loads come from — the
+    // device on the cold pass, the cache on the warm one — never the
+    // walk.
+    constexpr std::uint64_t kWalkers = 400;
+    constexpr std::uint32_t kLength = 16;
+    storage::SharedBlockCache cache(32ULL << 20);
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    engine::RunStats cold;
+    engine::RunStats warm;
+    for (int pass = 0; pass < 2; ++pass) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(/*depth=*/4, /*threads=*/1));
+        eng.set_shared_cache(&cache);
+        (pass == 0 ? cold : warm) = eng.run(app, kWalkers);
+        endpoints.push_back(app.endpoints);
+    }
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_GT(cold.cache_miss_blocks, 0u) << "cold pass reads the device";
+    EXPECT_GT(warm.cache_hit_blocks, 0u) << "warm pass hits the cache";
+    EXPECT_EQ(warm.cache_hit_blocks + warm.cache_miss_blocks,
+              warm.blocks_loaded)
+        << "every coarse load is a hit or a miss";
+    EXPECT_LE(warm.cache_miss_blocks, cold.cache_miss_blocks);
+}
+
 TEST_F(PrefetchTest, MispredictDemotesToCacheAndResteers)
 {
     // A speculatively loaded block whose bucket drains is demoted —

@@ -1,22 +1,19 @@
 /**
  * @file
- * Overlapped shard migration and shard-local pre-sampling (DESIGN.md
- * §11, "overlapped exchange").
+ * Overlapped shard migration (DESIGN.md §11, "overlapped exchange").
  *
- * The load-bearing guarantee: flipping shard_overlap never changes
+ * The load-bearing guarantee: when emigrants are flushed never changes
  * walk output.  Per (src,dst) pair the seq-ascending concatenation of
- * per-bucket flushes is exactly the barrier mode's single-batch
- * content, and admission sorts staged consignments by (dst, src, seq),
- * so the walker set entering every round is byte-identical in both
- * modes — verified here bit for bit across {1,2,4} shards × {1,8}
- * step threads for first-order and node2vec walks.
+ * per-bucket flushes is exactly one post at the round barrier, and
+ * admission sorts staged consignments by (dst, src, seq), so every
+ * sharded run matches the 1-shard run (which migrates nothing) bit for
+ * bit — verified across {2,4} shards × {1,8} step threads for
+ * first-order and node2vec walks.
  *
- * Also covered: the modeled accounting (overlap hides wire time behind
- * stepping: wait strictly lower, hidden portion visible, modeled time
- * no worse), the exchange's deterministic admission order and per-pair
- * conservation counters, locality-aware seeding, and the deterministic
- * shard-local pre-sampling knob with the drying-regression
- * distribution check.
+ * Also covered: the modeled accounting (every flush is priced once,
+ * split between hidden overlap and residual wait), the exchange's
+ * deterministic admission order and per-pair conservation counters,
+ * locality-aware seeding, and that shard rounds never pre-sample.
  */
 #include <gtest/gtest.h>
 
@@ -167,13 +164,12 @@ class MigrationOverlapTest : public testing::Test {
     }
 
     core::EngineConfig
-    config(unsigned shards, unsigned threads, bool overlap) const
+    config(unsigned shards, unsigned threads) const
     {
         core::EngineConfig cfg =
             core::EngineConfig::full(0, partition_->max_block_bytes());
         cfg.num_shards = shards;
         cfg.step_threads = threads;
-        cfg.shard_overlap = overlap;
         return cfg;
     }
 
@@ -183,33 +179,33 @@ class MigrationOverlapTest : public testing::Test {
     std::unique_ptr<graph::BlockPartition> partition_;
 };
 
-TEST_F(MigrationOverlapTest, BasicWalkBitIdenticalBarrierVsOverlapped)
+TEST_F(MigrationOverlapTest, BasicWalkBitIdenticalToOneShardRun)
 {
     constexpr std::uint64_t kWalkers = 600;
     constexpr std::uint32_t kLength = 24;
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
     std::vector<std::uint64_t> steps;
-    for (const bool overlap : {false, true}) {
-        for (const unsigned shards : {1u, 2u, 4u}) {
-            for (const unsigned threads : {1u, 8u}) {
-                OverlapRecordingWalk app(kLength, file_->num_vertices(),
-                                         kWalkers);
-                shard::ShardedEngine<OverlapRecordingWalk> eng(
-                    *file_, *partition_,
-                    config(shards, threads, overlap));
-                const auto stats = eng.run(app, kWalkers);
-                endpoints.push_back(app.endpoints);
-                std::vector<std::uint32_t> v(app.visits.size());
-                for (std::size_t i = 0; i < v.size(); ++i) {
-                    v[i] = app.visits[i].load();
-                }
-                visits.push_back(std::move(v));
-                steps.push_back(stats.steps);
+    std::uint64_t migrations = 0;
+    for (const unsigned shards : {1u, 2u, 4u}) {
+        for (const unsigned threads : {1u, 8u}) {
+            OverlapRecordingWalk app(kLength, file_->num_vertices(),
+                                     kWalkers);
+            shard::ShardedEngine<OverlapRecordingWalk> eng(
+                *file_, *partition_, config(shards, threads));
+            const auto stats = eng.run(app, kWalkers);
+            endpoints.push_back(app.endpoints);
+            std::vector<std::uint32_t> v(app.visits.size());
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                v[i] = app.visits[i].load();
             }
+            visits.push_back(std::move(v));
+            steps.push_back(stats.steps);
+            migrations += stats.migrations;
         }
     }
     EXPECT_GT(steps[0], 0u);
+    EXPECT_GT(migrations, 0u) << "no sharded run migrated a walker";
     for (std::size_t t = 1; t < endpoints.size(); ++t) {
         EXPECT_EQ(steps[t], steps[0]) << "config " << t;
         EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
@@ -217,26 +213,24 @@ TEST_F(MigrationOverlapTest, BasicWalkBitIdenticalBarrierVsOverlapped)
     }
 }
 
-TEST_F(MigrationOverlapTest, Node2VecBitIdenticalBarrierVsOverlapped)
+TEST_F(MigrationOverlapTest, Node2VecBitIdenticalToOneShardRun)
 {
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::uint64_t> steps;
     std::vector<std::uint64_t> trials;
-    for (const bool overlap : {false, true}) {
-        for (const unsigned shards : {1u, 2u, 4u}) {
-            for (const unsigned threads : {1u, 8u}) {
-                OverlapRecordingNode2Vec app(2.0, 0.5, 12,
-                                             file_->num_vertices(), 2);
-                shard::ShardedEngine<OverlapRecordingNode2Vec> eng(
-                    *file_, *partition_,
-                    config(shards, threads, overlap));
-                const auto stats = eng.run(app, app.total_walkers());
-                endpoints.push_back(app.endpoints);
-                steps.push_back(stats.steps);
-                trials.push_back(stats.rejection_trials);
-            }
+    for (const unsigned shards : {1u, 2u, 4u}) {
+        for (const unsigned threads : {1u, 8u}) {
+            OverlapRecordingNode2Vec app(2.0, 0.5, 12,
+                                         file_->num_vertices(), 2);
+            shard::ShardedEngine<OverlapRecordingNode2Vec> eng(
+                *file_, *partition_, config(shards, threads));
+            const auto stats = eng.run(app, app.total_walkers());
+            endpoints.push_back(app.endpoints);
+            steps.push_back(stats.steps);
+            trials.push_back(stats.rejection_trials);
         }
     }
+    EXPECT_GT(trials[0], 0u);
     for (std::size_t t = 1; t < endpoints.size(); ++t) {
         EXPECT_EQ(steps[t], steps[0]) << "config " << t;
         EXPECT_EQ(trials[t], trials[0]) << "config " << t;
@@ -259,40 +253,27 @@ TEST_F(MigrationOverlapTest, OverlapHidesWaitOnSlowDevice)
 
     constexpr std::uint64_t kWalkers = 600;
     constexpr std::uint32_t kLength = 16;
+    OverlapRecordingWalk app(kLength, slow_file.num_vertices(), kWalkers);
+    core::EngineConfig cfg =
+        core::EngineConfig::full(0, slow_partition.max_block_bytes());
+    cfg.num_shards = 4;
+    cfg.step_threads = 2;
+    shard::ShardedEngine<OverlapRecordingWalk> eng(slow_file,
+                                                   slow_partition, cfg);
+    const engine::RunStats stats = eng.run(app, kWalkers);
+    ASSERT_GT(stats.migrations, 0u);
 
-    engine::RunStats by_mode[2];
-    std::vector<graph::VertexId> reference;
-    for (const bool overlap : {false, true}) {
-        OverlapRecordingWalk app(kLength, slow_file.num_vertices(),
-                                 kWalkers);
-        core::EngineConfig cfg = core::EngineConfig::full(
-            0, slow_partition.max_block_bytes());
-        cfg.num_shards = 4;
-        cfg.step_threads = 2;
-        cfg.shard_overlap = overlap;
-        shard::ShardedEngine<OverlapRecordingWalk> eng(
-            slow_file, slow_partition, cfg);
-        by_mode[overlap ? 1 : 0] = eng.run(app, kWalkers);
-        if (reference.empty()) {
-            reference = app.endpoints;
-        } else {
-            EXPECT_EQ(app.endpoints, reference);
-        }
-    }
-    const engine::RunStats &barrier = by_mode[0];
-    const engine::RunStats &overlapped = by_mode[1];
-
-    // Same walk, same traffic.
-    EXPECT_EQ(overlapped.migrations, barrier.migrations);
-    EXPECT_GT(barrier.migrations, 0u);
-
-    // Barrier mode hides nothing; overlap hides a visible portion and
-    // charges strictly less wait, so the modeled total can only drop.
-    EXPECT_EQ(barrier.migration_overlap_seconds, 0.0);
-    EXPECT_GT(overlapped.migration_overlap_seconds, 0.0);
-    EXPECT_LT(overlapped.migration_wait_seconds,
-              barrier.migration_wait_seconds);
-    EXPECT_LE(overlapped.modeled_seconds(), barrier.modeled_seconds());
+    // Every flush is priced exactly once: the part stepping hid plus
+    // the residual wait is the full wire cost of the run's traffic
+    // (flush_seconds is linear, so the per-event prices sum to the
+    // price of the totals).
+    EXPECT_GT(stats.migration_overlap_seconds, 0.0)
+        << "per-bucket flushes hid nothing behind stepping";
+    const double priced = eng.cost_model.flush_seconds(
+        stats.migrations, stats.migration_batches, eng.num_shards());
+    EXPECT_NEAR(stats.migration_wait_seconds +
+                    stats.migration_overlap_seconds,
+                priced, 1e-9 * priced);
 }
 
 TEST_F(MigrationOverlapTest, StagedAdmissionOrderIsDeterministic)
@@ -364,7 +345,7 @@ TEST_F(MigrationOverlapTest, PairwiseConservationCounters)
     // End to end: a 4-shard overlapped run balances every pair too.
     OverlapRecordingWalk app(20, file_->num_vertices(), 500);
     shard::ShardedEngine<OverlapRecordingWalk> eng(
-        *file_, *partition_, config(4, 2, true));
+        *file_, *partition_, config(4, 2));
     const auto stats = eng.run(app, 500);
     EXPECT_GT(stats.migrations, 0u);
     const shard::ExchangeCounters &xc = eng.exchange_counters();
@@ -390,7 +371,7 @@ TEST_F(MigrationOverlapTest, LocalitySeedingStartsWalkersOnOwnerShard)
     // seeding means round 1 exists and nothing ever migrates.
     OverlapRecordingWalk app(0, file_->num_vertices(), 400);
     shard::ShardedEngine<OverlapRecordingWalk> eng(
-        *file_, *partition_, config(4, 2, true));
+        *file_, *partition_, config(4, 2));
     const auto stats = eng.run(app, 400);
     EXPECT_EQ(stats.migrations, 0u);
     EXPECT_EQ(stats.migration_wait_seconds, 0.0);
@@ -400,85 +381,19 @@ TEST_F(MigrationOverlapTest, LocalitySeedingStartsWalkersOnOwnerShard)
 
 class ShardPresampleTest : public MigrationOverlapTest {};
 
-TEST_F(ShardPresampleTest, DeterministicAcrossThreadsAndOverlapModes)
+TEST_F(ShardPresampleTest, NeverInShardRounds)
 {
-    // With shard_presample on, output is a pure function of
-    // (seed, shard plan): fixing the shard count, every thread count
-    // and both migration modes agree bit for bit — and pre-samples
-    // actually serve steps.
-    constexpr std::uint64_t kWalkers = 600;
-    constexpr std::uint32_t kLength = 24;
-    std::vector<std::vector<graph::VertexId>> endpoints;
-    std::vector<std::uint64_t> steps;
-    for (const bool overlap : {false, true}) {
-        for (const unsigned threads : {1u, 8u}) {
-            OverlapRecordingWalk app(kLength, file_->num_vertices(),
-                                     kWalkers);
-            core::EngineConfig cfg = config(2, threads, overlap);
-            cfg.shard_presample = true;
-            shard::ShardedEngine<OverlapRecordingWalk> eng(
-                *file_, *partition_, cfg);
-            const auto stats = eng.run(app, kWalkers);
-            endpoints.push_back(app.endpoints);
-            steps.push_back(stats.steps);
-            EXPECT_GT(stats.presample_steps, 0u)
-                << "shard presample never kicked in";
-        }
-    }
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-    }
-}
-
-TEST_F(ShardPresampleTest, OffByDefaultInShardRounds)
-{
-    // The cross-shard-count bit-identity contract of num_shards
-    // requires the default to keep pre-sampling out of shard rounds.
+    // Reservoir contents depend on the shard count, so the
+    // cross-shard-count bit-identity contract of num_shards keeps
+    // pre-sampling out of shard rounds even with presample on.
     OverlapRecordingWalk app(16, file_->num_vertices(), 400);
-    shard::ShardedEngine<OverlapRecordingWalk> eng(
-        *file_, *partition_, config(2, 2, true));
+    core::EngineConfig cfg = config(2, 2);
+    ASSERT_TRUE(cfg.presample);
+    shard::ShardedEngine<OverlapRecordingWalk> eng(*file_, *partition_,
+                                                   cfg);
     const auto stats = eng.run(app, 400);
     EXPECT_EQ(stats.presample_steps, 0u);
-}
-
-TEST_F(ShardPresampleTest, EndpointDistributionUniformOnComplete)
-{
-    // Drying-regression mirror (PR 2): pre-sample reservoirs must not
-    // skew the walk distribution as they drain.  Complete graph of 8,
-    // many walkers through sharded engines with shard_presample on —
-    // endpoints stay uniform.
-    graph::CsrGraph complete = graph::generate_complete(8);
-    storage::MemDevice dev;
-    graph::GraphFile::write(complete, dev);
-    graph::GraphFile file(dev);
-    // Small blocks so the plan can actually split into 2 shards.
-    graph::BlockPartition partition(file, 64);
-    ASSERT_GE(partition.num_blocks(), 2u);
-
-    constexpr std::uint64_t kWalkers = 4000;
-    OverlapRecordingWalk app(4, 8, kWalkers);
-    core::EngineConfig cfg = core::EngineConfig::full(0, 64);
-    cfg.num_shards = 2;
-    cfg.shard_presample = true;
-    cfg.seed = 99;
-    shard::ShardedEngine<OverlapRecordingWalk> eng(file, partition, cfg);
-    const auto stats = eng.run(app, kWalkers);
-    EXPECT_GT(stats.presample_steps, 0u);
-
-    std::vector<int> counts(8, 0);
-    for (const graph::VertexId v : app.endpoints) {
-        ASSERT_NE(v, graph::kInvalidVertex);
-        ++counts[v];
-    }
-    const double n = static_cast<double>(kWalkers);
-    double chi2 = 0.0;
-    for (const int c : counts) {
-        const double expected = n / 8.0;
-        chi2 += (c - expected) * (c - expected) / expected;
-    }
-    // 7 dof, alpha = 0.001 => 24.32; loose cap for mixing effects.
-    EXPECT_LT(chi2, 40.0);
+    EXPECT_EQ(stats.presample_bytes_total, 0u);
 }
 
 } // namespace

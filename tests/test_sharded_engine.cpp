@@ -321,23 +321,20 @@ TEST_F(ShardedEngineTest, MigrationConservationNoLeaksAtClose)
 TEST_F(ShardedEngineTest, TotalsSumEveryAdditiveShardCounter)
 {
     // Each additive counter of the sharded total is the sum over the
-    // per-shard totals: none may be dropped on the way up.  Pre-sample
-    // pools are held by all shards at once, so their bytes add too.
+    // per-shard totals: none may be dropped on the way up.
     const auto additive = [](const engine::RunStats &s) {
         return std::vector<std::uint64_t>{
             s.walkers, s.steps, s.graph_bytes_read, s.graph_read_requests,
             s.edges_loaded, s.swap_bytes, s.blocks_loaded, s.fine_loads,
             s.cache_hit_blocks, s.cache_miss_blocks, s.prefetch_hits,
-            s.prefetch_mispredicts, s.planned_loads, s.plan_rescores,
-            s.plan_cache_credits, s.kernel_cohorts, s.kernel_prefetches,
+            s.prefetch_mispredicts, s.planned_loads, s.plan_cache_credits,
+            s.kernel_cohorts, s.kernel_prefetches,
             s.kernel_scalar_fallbacks, s.presample_steps, s.block_steps,
-            s.stalls, s.rejection_trials, s.rejection_rejected,
-            s.presample_bytes_used, s.presample_bytes_total};
+            s.stalls, s.rejection_trials, s.rejection_rejected};
     };
-    core::EngineConfig cfg = config(2, 2);
-    cfg.shard_presample = true;
     apps::Node2Vec app(2.0, 0.5, 12, file_->num_vertices(), 1);
-    shard::ShardedEngine<apps::Node2Vec> eng(*file_, *partition_, cfg);
+    shard::ShardedEngine<apps::Node2Vec> eng(*file_, *partition_,
+                                             config(2, 2));
     const engine::RunStats total = eng.run(app, app.total_walkers());
 
     const std::vector<std::uint64_t> got = additive(total);
@@ -352,7 +349,6 @@ TEST_F(ShardedEngineTest, TotalsSumEveryAdditiveShardCounter)
     EXPECT_GT(total.kernel_cohorts, 0u);
     EXPECT_GT(total.kernel_prefetches, 0u);
     EXPECT_GT(total.rejection_trials, 0u);
-    EXPECT_GT(total.presample_bytes_total, 0u);
 }
 
 TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
