@@ -50,42 +50,47 @@ PreSampleBuffer::plan(const graph::GraphFile &file,
     // edge list (§3.3.4); the rest get base_quota scaled by the visit
     // history (§3.3.2: quota ≈ proportional to cnt), clamped to the
     // per-vertex cap.  A byte-budget overshoot is corrected below.
-    std::uint64_t pos = 0;
+    std::uint64_t direct = 0;
+    std::uint64_t sampled = 0;
     for (graph::VertexId i = 0; i < nv; ++i) {
-        out.idx[i] = static_cast<std::uint32_t>(pos);
+        out.idx[i] = static_cast<std::uint32_t>(direct + sampled);
         const std::uint32_t deg = file.degree(block.first_vertex + i);
         if (deg == 0) {
             continue;
         }
         if (deg <= params.low_degree_cutoff) {
             out.direct[i] = 1;
-            pos += deg;
+            direct += deg;
             continue;
         }
         const std::uint64_t weight =
             1 + (history
                      ? previous->cnt_[i].load(std::memory_order_relaxed)
                      : 0);
-        pos += std::clamp<std::uint64_t>(params.base_quota * weight,
-                                         params.base_quota,
-                                         params.max_quota);
+        sampled += std::clamp<std::uint64_t>(params.base_quota * weight,
+                                             params.base_quota,
+                                             params.max_quota);
     }
+    std::uint64_t pos = direct + sampled;
     out.idx[nv] = static_cast<std::uint32_t>(pos);
 
     // If the quotas overshot the slot budget, scale the sampled ones
-    // down uniformly by truncating per-vertex quotas (rare).  Direct
-    // reservations are all-or-nothing and keep their slots.
+    // down into what the direct reservations leave, truncating each
+    // quota so their sum stays within it (rare).  Direct reservations
+    // are all-or-nothing, so a block whose direct slots alone overshoot
+    // has no plan.
     if (pos > slot_budget) {
-        const double scale = static_cast<double>(slot_budget) /
-                             static_cast<double>(pos);
+        if (direct > slot_budget) {
+            return std::nullopt;
+        }
+        const std::uint64_t room = slot_budget - direct;
         std::uint64_t scaled = 0;
         std::uint32_t prev = 0;
         for (graph::VertexId i = 0; i < nv; ++i) {
-            std::uint32_t slots = out.idx[i + 1] - prev;
+            std::uint64_t slots = out.idx[i + 1] - prev;
             prev = out.idx[i + 1];
             if (!out.direct[i]) {
-                slots = static_cast<std::uint32_t>(
-                    static_cast<double>(slots) * scale);
+                slots = slots * room / sampled;
             }
             out.idx[i] = static_cast<std::uint32_t>(scaled);
             scaled += slots;

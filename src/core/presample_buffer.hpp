@@ -80,9 +80,10 @@ class PreSampleBuffer {
      *
      * @param previous  the block's previous buffer generation (or null);
      *                  its cnt values weight the new quotas.
-     * @return std::nullopt when the meta arrays alone do not fit
-     *         params.max_bytes: no amount of freed pool memory can
-     *         make such a plan fit.
+     * @return a plan with bytes <= params.max_bytes, or std::nullopt
+     *         when the meta arrays plus the direct (full-edge)
+     *         reservations alone do not fit it: no amount of freed
+     *         pool memory can make such a plan fit.
      */
     static std::optional<Plan> plan(const graph::GraphFile &file,
                                     const graph::BlockInfo &block,

@@ -285,6 +285,44 @@ TEST_F(PreSampleTest, PlanNamesTheBytesTheBufferReserves)
     EXPECT_EQ(budget.used(), planned);
 }
 
+TEST_F(PreSampleTest, PlanNeverExceedsTheCap)
+{
+    // A skewed block mixes direct (low-degree) and sampled vertices.
+    // Whenever the quotas overshoot the cap, only the sampled ones
+    // shrink, so they must shrink into what the direct slots leave;
+    // a cap the direct slots alone exceed has no plan.
+    auto g = graph::generate_rmat(
+        {.scale = 12, .edge_factor = 8, .a = 0.57, .b = 0.19, .c = 0.19,
+         .seed = 5, .symmetrize = false, .weighted = false});
+    storage::MemDevice dev;
+    graph::GraphFile::write(g, dev);
+    graph::GraphFile file(dev);
+    graph::BlockPartition part(file, file.edge_region_bytes() + 1);
+    ASSERT_EQ(part.num_blocks(), 1u);
+    const graph::BlockInfo &block = part.block(0);
+
+    PreSampleBuffer::BuildParams p;
+    p.base_quota = 4;
+    p.max_quota = 1024;
+    p.low_degree_cutoff = 2;
+    p.max_bytes = ~std::uint64_t{0};
+    const std::optional<PreSampleBuffer::Plan> full =
+        PreSampleBuffer::plan(file, block, p, nullptr);
+    ASSERT_TRUE(full);
+
+    int planned = 0;
+    for (int i = 1; i < 128; ++i) {
+        p.max_bytes = full->bytes * i / 128;
+        const std::optional<PreSampleBuffer::Plan> plan =
+            PreSampleBuffer::plan(file, block, p, nullptr);
+        if (plan) {
+            ++planned;
+            EXPECT_LE(plan->bytes, p.max_bytes) << "cap " << p.max_bytes;
+        }
+    }
+    EXPECT_GE(planned, 16) << "the sweep must reach capped plans";
+}
+
 TEST_F(PreSampleTest, WeightedDirectViewCarriesWeights)
 {
     auto g = graph::generate_rmat(
