@@ -13,11 +13,11 @@
  * inboxes.  The round ends when no shard holds a walker.
  *
  * Shards do not sit on their emigrants until the barrier: the engine
- * flushes each block bucket's
- * emigrants through an EmigrantSink as the bucket drains, the sink
- * posts them to the exchange tagged with a per-shard flush sequence,
- * and opportunistically stages already-posted consignments from other
- * shards while its own engine is still stepping.  The wire time of a
+ * flushes each block bucket's emigrants through an EmigrantSink as the
+ * bucket drains, the sink posts them to the exchange tagged with a
+ * per-shard flush sequence, and opportunistically stages already-posted
+ * consignments from other shards while its own engine is still
+ * stepping.  The wire time of a
  * flush then overlaps the remainder of the round, and only the
  * residual the stepping could not hide is charged as
  * migration_wait_seconds (the hidden part lands in
