@@ -2,24 +2,21 @@
  * @file
  * Batched walker exchange between shards.
  *
- * Barrier mode: during a round every shard collects its emigrants
- * locally; at the barrier it buckets them into per-(src,dst) batches
- * and posts them all under one lock (BlockingQueue::push_batch).  The
- * orchestrator then drains the queue in one acquisition (pop_all).
+ * Shards post consignments incrementally as block buckets drain (DESIGN.md
+ * §11) — each flush event is bucketed into per-(src,dst) batches posted
+ * under one lock (BlockingQueue::push_batch) and carries a per-src
+ * sequence number — and any shard thread may opportunistically move
+ * completed consignments out of the queue mid-round (collect(),
+ * non-blocking) into the orchestrator's staging pool.  Emigrants still
+ * pending at a shard's quiescence go out as one tail flush.
  *
- * Overlap mode (DESIGN.md §11): shards post consignments incrementally
- * as block buckets drain — each flush event carries a per-src sequence
- * number — and any shard thread may opportunistically move completed
- * consignments out of the queue mid-round (collect(), non-blocking)
- * into the orchestrator's staging pool.
- *
- * Either way, delivery order — and therefore the next round's
- * admission order — is made a pure function of the walk, never of
- * which shard thread reached the exchange first, by sorting staged
- * batches by (dst, src, seq) before admission: per (src,dst) pair the
- * seq-ascending concatenation reproduces the src shard's outbox order
- * exactly, so the admitted walker sequence is byte-identical to the
- * single-post barrier version.
+ * Delivery order — and therefore the next round's admission order — is
+ * made a pure function of the walk, never of which shard thread reached
+ * the exchange first, by sorting staged batches by (dst, src, seq)
+ * before admission: per (src,dst) pair the seq-ascending concatenation
+ * reproduces the src shard's outbox order exactly, so the admitted
+ * walker sequence is the one a single post per shard at the round
+ * barrier would give.
  *
  * Conservation is tracked per (src,dst) pair: post() and collect()
  * update a pair-flow table, a debug-build assert_conserved() verifies
@@ -47,9 +44,9 @@ struct MigrationBatch {
     std::uint32_t src = 0;
     std::uint32_t dst = 0;
     std::uint64_t round = 0;
-    /** Flush sequence of the posting shard within the round (overlap
-     *  mode posts many flushes per round; barrier mode posts one).
-     *  Admission sorts by (dst, src, seq) — see the file comment. */
+    /** Flush sequence of the posting shard within the round (a shard
+     *  may post many flushes per round).  Admission sorts by
+     *  (dst, src, seq) — see the file comment. */
     std::uint64_t seq = 0;
     std::vector<Record> records;
 };
