@@ -32,7 +32,7 @@ ctest --test-dir build -R 'Sharded|Migration|ShardPlan' --output-on-failure -j "
 
 
 echo
-echo "== tier 1: cohort smoke (scalar vs cohort bit-identity + batch draws) =="
+echo "== tier 1: step-kernel smoke (kernel vs replay-oracle bit-identity + batch draws) =="
 ctest --test-dir build -R 'StepKernel|AliasTableBatch' --output-on-failure -j "$JOBS"
 
 

@@ -14,7 +14,7 @@ EngineConfig::validate() const
         throw util::ConfigError("EngineConfig: alpha must be positive");
     }
     if (presamples_per_vertex == 0 ||
-        max_presamples_per_vertex < presamples_per_vertex) {
+        presamples_per_vertex > kMaxPresamplesPerVertex) {
         throw util::ConfigError("EngineConfig: bad pre-sample quotas");
     }
     if (step_threads == 0) {
@@ -24,23 +24,13 @@ EngineConfig::validate() const
         throw util::ConfigError(
             "EngineConfig: prefetch_depth must be <= 64");
     }
-    if (prefetch_reorder_window > 64) {
-        throw util::ConfigError(
-            "EngineConfig: prefetch_reorder_window must be <= 64");
-    }
-    if (step_cohort > 1024) {
-        throw util::ConfigError(
-            "EngineConfig: step_cohort must be <= 1024");
-    }
     if (num_shards == 0 || num_shards > 256) {
         throw util::ConfigError(
             "EngineConfig: num_shards must be in [1, 256]");
     }
-    // The fractions apply sequentially (pool from the post-index
-    // remainder, pre-samples from what is left after the pool), so
-    // each only needs to be a valid fraction on its own.
-    if (walker_memory_fraction <= 0.0 || walker_memory_fraction >= 1.0 ||
-        presample_memory_fraction < 0.0 ||
+    // The pre-sample share applies to what the walker pool leaves, so
+    // it only needs to be a valid fraction on its own.
+    if (presample_memory_fraction < 0.0 ||
         presample_memory_fraction >= 1.0) {
         throw util::ConfigError("EngineConfig: bad memory fractions");
     }

@@ -9,6 +9,15 @@
 
 namespace noswalker::core {
 
+/** Hard cap on pre-samples one vertex may be allocated.  Hubs are
+ *  visited orders of magnitude more often than the mean, so the cap is
+ *  generous; the per-block byte cap is the real bound. */
+inline constexpr std::uint32_t kMaxPresamplesPerVertex = 1024;
+
+/** Fraction of the post-index budget granted to the walker pool.  The
+ *  paper's walker pools "initially occupy most of the memory". */
+inline constexpr double kWalkerMemoryFraction = 0.5;
+
 /** Tunables of the NosWalker engine. */
 struct EngineConfig {
     /**
@@ -29,13 +38,9 @@ struct EngineConfig {
      */
     std::uint64_t max_walkers = 0;
 
-    /** Base pre-samples per vertex before history reweighting. */
+    /** Base pre-samples per vertex before history reweighting
+     *  (≤ kMaxPresamplesPerVertex). */
     std::uint32_t presamples_per_vertex = 4;
-
-    /** Hard cap on pre-samples one vertex may be allocated.  Hubs are
-     *  visited orders of magnitude more often than the mean, so the
-     *  cap is generous; the buffer byte budget is the real bound. */
-    std::uint32_t max_presamples_per_vertex = 1024;
 
     /**
      * Degree at or below which a vertex's full edge list is reserved
@@ -47,10 +52,6 @@ struct EngineConfig {
      *  α·|Wa|·4KiB < S_G (§3.3.1; paper default 4). */
     double alpha = 4.0;
 
-    /** Fraction of post-index budget granted to the walker pool.  The
-     *  paper's walker pools "initially occupy most of the memory". */
-    double walker_memory_fraction = 0.5;
-
     /** Fraction of the budget left after the walker pool reserved for
      *  pre-sample buffers.  A binding cap: the pool charges its own
      *  sub-budget of this size so eviction pressure never depends on
@@ -59,9 +60,6 @@ struct EngineConfig {
 
     /** Master seed; every run is a deterministic function of it. */
     std::uint64_t seed = 42;
-
-    /** Background loader threads (0 = load synchronously). */
-    unsigned loader_threads = 1;
 
     /**
      * Intra-block stepping threads (≥ 1).  Each loaded block's bucket
@@ -83,21 +81,6 @@ struct EngineConfig {
     unsigned prefetch_depth = 2;
 
     /**
-     * Interleaved step-kernel cohort size (DESIGN.md §12): each worker
-     * shard's walkers are stepped through a ring of this many lanes,
-     * with software prefetches issued for every lane's next data
-     * source (CSR offsets, adjacency lines, alias rows, pre-sample
-     * slots) one stage before the draw — the miss of one walker hides
-     * behind useful work on the rest of the cohort (ThunderRW-style
-     * step interleaving).  0 or 1 = the legacy one-walker-at-a-time
-     * scalar loop.  Walk output is bit-identical at every value:
-     * per-walker streams make each trajectory independent of how
-     * walkers interleave, and outcomes are folded back in walker-index
-     * order.
-     */
-    unsigned step_cohort = 16;
-
-    /**
      * Graph shards executed concurrently by shard::ShardedEngine (1 =
      * the plain single-engine path).  Each shard owns a contiguous
      * block range, a private modeled device, and a 1/N slice of the
@@ -109,16 +92,6 @@ struct EngineConfig {
      * other, not against a presampling single-engine run.
      */
     unsigned num_shards = 1;
-
-    /**
-     * Completed prefetch loads that may be consumed out of submission
-     * order, past older still-outstanding loads (0 = strict FIFO
-     * consumption; >= prefetch_depth = fully out of order).  Purely a
-     * stall-accounting/latency knob: byte-arrival order changes, the
-     * processed-block schedule — and therefore walk output — does not
-     * (DESIGN.md §10).
-     */
-    unsigned prefetch_reorder_window = 2;
 
     // --- Fig 14 breakdown knobs (all on = full NosWalker) ---
 

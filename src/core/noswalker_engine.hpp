@@ -75,6 +75,10 @@ namespace noswalker::core {
 /** Disk utilisation the async-I/O path achieves (paper §4.4: 70–90 %). */
 inline constexpr double kAsyncIoEfficiency = 0.8;
 
+/** Completed prefetch loads the pipeline may consume past older
+ *  outstanding ones (DESIGN.md §10).  Never changes walk output. */
+inline constexpr std::size_t kPrefetchReorderWindow = 2;
+
 /**
  * Walker-oriented out-of-core random walk engine.
  *
@@ -234,13 +238,14 @@ class NosWalkerEngine {
         storage::BlockReader reader(*file_, unbudgeted_, 8ULL << 20,
                                     shared_cache_);
         storage::BlockBufferPool buffer_pool;
+        // Single-buffer runs load synchronously: with one buffer there
+        // is nothing for a background thread to overlap.
         storage::AsyncLoader loader(
-            reader, config_.loader_threads > 0 && !single_buffer_,
+            reader, !single_buffer_,
             std::max<std::size_t>(prefetch_slots_, 1), &buffer_pool);
         PrefetchPipeline pipeline(
             loader, reader, buffer_pool, prefetch_slots_, shared_cache_,
-            file_->device().model().queue_latency,
-            config_.prefetch_reorder_window);
+            file_->device().model().queue_latency, kPrefetchReorderWindow);
         const storage::IoStats io_before = file_->device().stats();
 
         App &a = app;
@@ -305,9 +310,8 @@ class NosWalkerEngine {
     }
 
   private:
-    /** The interleaved cohort stepping loop reuses the engine's private
-     *  resolution helpers so per-step semantics live in one place
-     *  (DESIGN.md §12). */
+    /** The step kernel — the engine's only step loop — reads the
+     *  engine's private resolution helpers (DESIGN.md §12). */
     template <typename E>
     friend class StepKernel;
 
@@ -327,7 +331,6 @@ class NosWalkerEngine {
         std::uint64_t rejection_rejected = 0;
         std::uint64_t kernel_cohorts = 0;
         std::uint64_t kernel_prefetches = 0;
-        std::uint64_t kernel_scalar_fallbacks = 0;
         std::vector<std::pair<std::uint32_t, Record>> parked;
         /** Shard mode: walkers whose waiting block another shard owns. */
         std::vector<Record> emigrants;
@@ -455,9 +458,9 @@ class NosWalkerEngine {
             // the slack it has with pre-sampling on (§10).
             const double walker_share =
                 presample_enabled_
-                    ? config_.walker_memory_fraction
-                    : config_.walker_memory_fraction +
-                          (1.0 - config_.walker_memory_fraction) *
+                    ? kWalkerMemoryFraction
+                    : kWalkerMemoryFraction +
+                          (1.0 - kWalkerMemoryFraction) *
                               config_.presample_memory_fraction;
             std::uint64_t cap = config_.max_walkers;
             if (cap == 0) {
@@ -483,7 +486,7 @@ class NosWalkerEngine {
                 budget.limit() == 0
                     ? total * sizeof(Record)
                     : static_cast<std::uint64_t>(
-                          config_.walker_memory_fraction *
+                          kWalkerMemoryFraction *
                           static_cast<double>(rest)));
             const std::uint64_t resident_cap =
                 std::max<std::uint64_t>(1, buffer_bytes / sizeof(Record));
@@ -632,8 +635,8 @@ class NosWalkerEngine {
     /**
      * Where vertex @p v's adjacency is resident: the loaded buffer
      * @p buf, else a retained block (§16), else nullptr.  Every
-     * resolution path — scalar and cohort kernel — asks here, so the
-     * decision lives in one place.
+     * resolution in the step kernel asks here, so the decision lives
+     * in one place.
      */
     const storage::BlockBuffer *
     source_for(const storage::BlockBuffer *buf, graph::VertexId v) const
@@ -754,7 +757,7 @@ class NosWalkerEngine {
         PreSampleBuffer::BuildParams params;
         params.max_bytes = presample_per_block_;
         params.base_quota = config_.presamples_per_vertex;
-        params.max_quota = config_.max_presamples_per_vertex;
+        params.max_quota = kMaxPresamplesPerVertex;
         params.low_degree_cutoff = config_.low_degree_cutoff;
 
         auto it = buffers_.find(block.id);
@@ -964,9 +967,7 @@ class NosWalkerEngine {
 
     /**
      * Step records[begin, end) — one worker shard's span — through the
-     * cohort kernel, or the legacy scalar loop when the kernel is off
-     * (step_cohort <= 1) or the span is too small to interleave.  Both
-     * paths produce bit-identical walk output (DESIGN.md §12).
+     * step kernel (DESIGN.md §12).
      */
     void
     step_span(App &app, std::vector<Record> &records, std::size_t begin,
@@ -976,18 +977,10 @@ class NosWalkerEngine {
         if (begin >= end) {
             return;
         }
-        if (config_.step_cohort >= 2 && end - begin >= 2) {
-            const storage::BlockBuffer *buf =
-                resp != nullptr ? &resp->buffer : nullptr;
-            StepKernel<NosWalkerEngine>::run(*this, app, records, begin,
-                                             end, buf, delta,
-                                             config_.step_cohort);
-            return;
-        }
-        ++delta.kernel_scalar_fallbacks;
-        for (std::size_t i = begin; i < end; ++i) {
-            chain_move(app, std::move(records[i]), resp, delta);
-        }
+        const storage::BlockBuffer *buf =
+            resp != nullptr ? &resp->buffer : nullptr;
+        StepKernel<NosWalkerEngine>::run(*this, app, records, begin, end,
+                                         buf, delta);
     }
 
     /** Fold one worker's delta into the engine (scheduler thread). */
@@ -1002,7 +995,6 @@ class NosWalkerEngine {
         stats_.rejection_rejected += delta.rejection_rejected;
         stats_.kernel_cohorts += delta.kernel_cohorts;
         stats_.kernel_prefetches += delta.kernel_prefetches;
-        stats_.kernel_scalar_fallbacks += delta.kernel_scalar_fallbacks;
         stats_.walkers += delta.retired;
         // Emigrants free their pool slot without retiring: their walk
         // continues on the owning shard next round.  Worker-index merge
@@ -1018,211 +1010,6 @@ class NosWalkerEngine {
                 spill_->park(block, 1);
             }
         }
-    }
-
-    /**
-     * Move @p rec as far as in-memory data allows (re-entry + pre-
-     * sample chains), then record its park or retirement in @p delta.
-     * Runs on step workers: touches only read-only engine state, the
-     * walker itself, pre-sample atomics, and @p delta.
-     */
-    void
-    chain_move(App &app, Record rec,
-               const storage::AsyncLoader::Response *resp,
-               StepDelta &delta)
-    {
-        const storage::BlockBuffer *buf =
-            resp != nullptr ? &resp->buffer : nullptr;
-        for (;;) {
-            if constexpr (kSecondOrder) {
-                if (app.has_candidate(rec.w)) {
-                    if (!resolve_candidate(app, rec, buf, delta)) {
-                        park_into(std::move(rec), delta);
-                        return;
-                    }
-                    if (!app.active(rec.w)) {
-                        ++delta.retired;
-                        return;
-                    }
-                    continue;
-                }
-            }
-            if (!app.active(rec.w)) {
-                ++delta.retired;
-                return;
-            }
-            const graph::VertexId v = rec.w.location;
-            if (file_->degree(v) == 0) {
-                // Dead end: the walk cannot continue (no out-edges).
-                ++delta.retired;
-                return;
-            }
-            if (!advance_once(app, rec, v, buf, delta)) {
-                if (park_into(std::move(rec), delta)) {
-                    ++delta.stalls;
-                }
-                return;
-            }
-        }
-    }
-
-    /**
-     * Defer parking to the post-barrier merge (thread-local buffer).
-     * @return false when the walker emigrated instead of parking: its
-     *         waiting block belongs to another shard.
-     */
-    bool
-    park_into(Record rec, StepDelta &delta)
-    {
-        const std::uint32_t b =
-            partition_->block_of(waiting_vertex_of(rec));
-        if (!owns_block(b)) {
-            delta.emigrants.push_back(std::move(rec));
-            return false;
-        }
-        delta.parked.emplace_back(b, std::move(rec));
-        return true;
-    }
-
-    /**
-     * Try to move @p rec one step using resident data.
-     *
-     * use_loaded_block (§3.3.5) controls the *priority*: when on, the
-     * currently loaded block serves the walker before any reserved
-     * pre-sample is consumed (so pre-samples are only spent when the
-     * block is not resident); when off, pre-samples are consumed
-     * eagerly and the block is only a fallback.
-     *
-     * @return false when neither source can serve vertex @p v.
-     */
-    bool
-    advance_once(App &app, Record &rec, graph::VertexId v,
-                 const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        if (config_.use_loaded_block &&
-            move_via_block(app, rec, v, buf, delta)) {
-            return true;
-        }
-        if (presample_enabled_ &&
-            move_via_presamples(app, rec, v, delta)) {
-            return true;
-        }
-        if (!config_.use_loaded_block &&
-            move_via_block(app, rec, v, buf, delta)) {
-            return true;
-        }
-        return false;
-    }
-
-    /** One step from the loaded or a retained block, if resident. */
-    bool
-    move_via_block(App &app, Record &rec, graph::VertexId v,
-                   const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        const storage::BlockBuffer *src = source_for(buf, v);
-        if (src == nullptr) {
-            return false;
-        }
-        const graph::VertexView view = src->view(*file_, v);
-        util::Rng rng(util::splitmix_next(rec.rng_state));
-        graph::VertexId next;
-        if constexpr (kWalkerAware) {
-            next = app.sample_for(rec.w, view);
-        } else {
-            next = app.sample(view, rng);
-        }
-        app.action(rec.w, next, rng);
-        ++delta.block_steps;
-        count_step(delta);
-        return true;
-    }
-
-    /** One step from the reserved pre-samples, if the buffer holds
-     *  this generation's reservoir for @p v. */
-    bool
-    move_via_presamples(App &app, Record &rec, graph::VertexId v,
-                        StepDelta &delta)
-    {
-        if constexpr (kWalkerAware) {
-            // Never reached (the constructor forces presample off), but
-            // guard anyway: shared samples would break the walker-aware
-            // batch-composition-independence contract.
-            return false;
-        }
-        PreSampleBuffer *ps = find_presamples(partition_->block_of(v));
-        if (ps == nullptr) {
-            return false;
-        }
-        if (ps->is_direct(v)) {
-            const graph::VertexView view = ps->direct_view(v);
-            util::Rng rng(util::splitmix_next(rec.rng_state));
-            const graph::VertexId next = app.sample(view, rng);
-            app.action(rec.w, next, rng);
-            ++delta.presample_steps;
-            count_step(delta);
-            return true;
-        }
-        if (ps->has(v)) {
-            // The walker's own stream picks the slot, so the step is
-            // identical no matter which thread executes it.
-            util::Rng rng(util::splitmix_next(rec.rng_state));
-            const graph::VertexId next = ps->sample(v, rng);
-            if (app.action(rec.w, next, rng)) {
-                ps->consume(v);
-            }
-            ++delta.presample_steps;
-            count_step(delta);
-            return true;
-        }
-        ps->record_visit(v);
-        return false;
-    }
-
-    void
-    count_step(StepDelta &delta)
-    {
-        if constexpr (!kSecondOrder) {
-            ++delta.steps;
-        }
-        // Second-order: a step completes only when a candidate is
-        // accepted (counted in resolve_candidate).
-    }
-
-    /**
-     * Second order: resolve the pending rejection trial of @p rec if
-     * the candidate's adjacency is resident.
-     * @return false when the candidate's data is not available.
-     */
-    bool
-    resolve_candidate(App &app, Record &rec,
-                      const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        static_assert(kSecondOrder);
-        const graph::VertexId c = app.candidate(rec.w);
-        graph::VertexView view;
-        bool have = false;
-        if (const storage::BlockBuffer *src = source_for(buf, c)) {
-            view = src->view(*file_, c);
-            have = true;
-        } else if (presample_enabled_) {
-            PreSampleBuffer *ps =
-                find_presamples(partition_->block_of(c));
-            if (ps != nullptr && ps->is_direct(c)) {
-                view = ps->direct_view(c);
-                have = true;
-            }
-        }
-        if (!have) {
-            return false;
-        }
-        ++delta.rejection_trials;
-        util::Rng rng(util::splitmix_next(rec.rng_state));
-        if (app.rejection(rec.w, view, rng)) {
-            ++delta.steps;
-        } else {
-            ++delta.rejection_rejected;
-        }
-        return true;
     }
 
     void

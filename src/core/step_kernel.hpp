@@ -1,24 +1,25 @@
 /**
  * @file
- * Interleaved cohort step kernel (DESIGN.md §12).
+ * Interleaved cohort step kernel (DESIGN.md §12) — the engine's only
+ * step loop.
  *
- * The scalar inner loop (NosWalkerEngine::chain_move) walks one record
- * at a time: every step issues a dependent chain of cold reads — the
- * CSR offset entry, then the adjacency/alias lines, then the sampled
- * target — and the core stalls on each miss.  ThunderRW showed 3–5× on
- * exactly this loop shape from *step interleaving*: keep a small
- * cohort of walkers in flight and hide one walker's miss behind useful
- * work on the others.
+ * Walking one record at a time, every step issues a dependent chain
+ * of cold reads — the CSR offset entry, then the adjacency/alias
+ * lines, then the sampled target — and the core stalls on each miss.
+ * ThunderRW showed 3–5× on exactly this loop shape from *step
+ * interleaving*: keep a small cohort of walkers in flight and hide one
+ * walker's miss behind useful work on the others.
  *
  * This kernel rotates a worker shard's records through a ring of
- * `EngineConfig::step_cohort` lanes.  Each rotation is two stages:
+ * kStepLanes lanes (fewer when the span is shorter).  Each rotation is
+ * two stages:
  *
  *   1. **resolve + gather** — for every lane, decide which resident
  *      source will serve the walker's next event (the loaded or a
  *      retained block, a pre-sample reservoir, a direct low-degree
- *      reservation, or a second-order candidate's adjacency) by
- *      replaying chain_move's exact decision tree, then issue software
- *      prefetches for the bytes the draw will touch.  The event's RNG
+ *      reservation, or a second-order candidate's adjacency), then
+ *      issue software prefetches for the bytes the draw will touch.
+ *      The event's RNG
  *      is constructed here (one stage early — same per-walker stream
  *      order), so draw-hint apps can dry-run the draw on a copy and
  *      name the *exact* line sample() will read (DrawHintApp); other
@@ -32,15 +33,16 @@
  *      keep the lane (the walker can move again next rotation) or bank
  *      its outcome and refill the lane with the next pending record.
  *
- * Bit-identity with the scalar path holds by construction: each
- * walker's own event sequence (decision tree + RNG draws) is executed
- * by the same code in the same per-walker order; the only cross-walker
- * state touched mid-round is commutative atomics that are never read
- * back before the round barrier (DESIGN.md §9); and retired / parked /
- * emigrant outcomes are banked per input slot, then folded into the
- * StepDelta in walker-index order — exactly the sequence the scalar
- * loop would have produced — so the engine's deterministic worker-order
- * merge is untouched.
+ * Walk output does not depend on the ring width or on how walkers
+ * interleave: each walker's own event sequence (decision tree + RNG
+ * draws) runs in the same per-walker order whatever its lane; the only
+ * cross-walker state touched mid-round is commutative atomics that are
+ * never read back before the round barrier (DESIGN.md §9); and retired
+ * / parked / emigrant outcomes are banked per input slot, then folded
+ * into the StepDelta in walker-index order, so the engine's
+ * deterministic worker-order merge sees the same sequence at any
+ * width.  The test-side replay oracle (tests/recording_app.hpp) walks
+ * each walker straight over the CSR graph and checks this.
  */
 #pragma once
 
@@ -57,12 +59,15 @@
 
 namespace noswalker::core {
 
+/** Lanes in the step kernel's ring (a shorter span uses one per record). */
+inline constexpr std::size_t kStepLanes = 16;
+
 /**
  * The interleaved stepping loop over one worker shard's records.
  *
  * @tparam E  the owning NosWalkerEngine instantiation (friend access:
- *            the kernel reuses the engine's resolution helpers and
- *            StepDelta so the per-step semantics live in one place).
+ *            the kernel reads the engine's resolution helpers and
+ *            fills its StepDelta).
  */
 template <typename E>
 class StepKernel {
@@ -73,21 +78,17 @@ class StepKernel {
 
     /**
      * Step records[begin, end) to their park/retire points through a
-     * @p cohort-lane ring, accumulating into @p delta.  Consumes the
-     * records.  Runs on step workers under the same contract as
-     * chain_move: reads engine state, writes only @p delta, the
-     * walkers themselves, and pre-sample atomics.
+     * ring of min(kStepLanes, end - begin) lanes, accumulating into
+     * @p delta.  Consumes the records.  Runs on step workers: reads
+     * engine state, writes only @p delta, the walkers themselves, and
+     * pre-sample atomics.
      */
     static void
     run(E &eng, App &app, std::vector<Record> &records, std::size_t begin,
-        std::size_t end, const storage::BlockBuffer *buf, Delta &delta,
-        unsigned cohort)
+        std::size_t end, const storage::BlockBuffer *buf, Delta &delta)
     {
         const std::size_t n = end - begin;
-        const std::size_t width =
-            n < static_cast<std::size_t>(cohort)
-                ? n
-                : static_cast<std::size_t>(cohort);
+        const std::size_t width = n < kStepLanes ? n : kStepLanes;
         std::vector<Outcome> outcomes(n);
         std::vector<Lane> lanes(width);
 
@@ -102,7 +103,7 @@ class StepKernel {
         // Small on purpose: each resolved lane has 2-4 prefetches in
         // flight, and a core tracks only ~10-12 outstanding fills —
         // resolving the whole ring up front (the naive two-phase shape)
-        // would drop most hints at larger cohort sizes.
+        // would drop most hints at wider rings.
         constexpr std::size_t kLookahead = 4;
 
         while (live > 0) {
@@ -145,9 +146,9 @@ class StepKernel {
             }
         }
 
-        // Fold the banked outcomes in walker-index order: the exact
-        // parked/emigrant sequence the scalar loop produces, so the
-        // downstream worker-order merge stays deterministic.
+        // Fold the banked outcomes in walker-index order, so the
+        // parked/emigrant sequence — and the downstream worker-order
+        // merge — does not depend on how the lanes interleaved.
         for (Outcome &o : outcomes) {
             switch (o.tag) {
             case Outcome::Tag::kNone:
@@ -245,9 +246,16 @@ class StepKernel {
     }
 
     /**
-     * Stage 1 for one lane: chain_move's decision tree, split from its
+     * Stage 1 for one lane: the step's decision tree, split from its
      * side effects.  Reads only per-round immutable state, so the
      * resolution is independent of the other lanes' stage-2 progress.
+     *
+     * Order: a pending second-order candidate is resolved first (its
+     * adjacency from a resident block, else a direct reservation);
+     * then an inactive walker or a dead end retires; then the loaded
+     * or a retained block serves the step when use_loaded_block is on,
+     * else the pre-samples, else the block; otherwise the walker
+     * parks (or emigrates).
      */
     static void
     resolve(E &eng, App &app, const storage::BlockBuffer *buf, Lane &lane,
@@ -326,8 +334,8 @@ class StepKernel {
                         return;
                     }
                     // Dry reservoir: the stage-2 visit feeds the
-                    // rebuild history exactly as the scalar path does,
-                    // whether or not the block then serves the step.
+                    // rebuild history whether or not the block then
+                    // serves the step.
                     lane.ps = ps;
                     lane.ps_visit = true;
                 }
@@ -368,8 +376,8 @@ class StepKernel {
     }
 
     /**
-     * Stage 2 for one lane: the side effects of one chain_move
-     * iteration against the resolved source.
+     * Stage 2 for one lane: the side effects of one event against the
+     * resolved source.
      * @return true when the walker stays in the lane (moved a step).
      */
     static bool

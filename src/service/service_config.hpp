@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/config.hpp"
+
 namespace noswalker::service {
 
 /** Tunables of the WalkService. */
@@ -52,9 +54,6 @@ struct ServiceConfig {
     /** Engine block size in bytes. */
     std::uint64_t block_bytes = 1ULL << 20;
 
-    /** Background loader threads per engine (0 = synchronous loads). */
-    unsigned loader_threads = 1;
-
     /**
      * Intra-block stepping threads (≥ 1).  All workers' engines share
      * one persistent util::ThreadPool sized step_threads − 1 (engines
@@ -72,13 +71,6 @@ struct ServiceConfig {
      * latency/memory trade-off per worker.
      */
     unsigned prefetch_depth = 2;
-
-    /**
-     * Per-engine reorder window for prefetch consumption (see
-     * EngineConfig::prefetch_reorder_window): completed loads that may
-     * be served past older outstanding ones.  0 = strict FIFO.
-     */
-    unsigned prefetch_reorder_window = 2;
 
     /** Engine walker-pool cap per run (0 = derive from the budget). */
     std::uint64_t max_walkers = 0;
@@ -108,7 +100,11 @@ struct ServiceConfig {
     /** Budget-wait attempts before a batch fails with kRejectedBudget. */
     unsigned budget_retry_limit = 20;
 
-    /** Validate ranges; @throws util::ConfigError on nonsense. */
+    /** The per-worker engine configuration these fields describe. */
+    core::EngineConfig engine_config() const;
+
+    /** Validate ranges, the engine's included (engine_config()); @throws
+     *  util::ConfigError on nonsense. */
     void validate() const;
 };
 

@@ -30,22 +30,9 @@ elapsed_seconds(std::chrono::steady_clock::time_point from,
 void
 ServiceConfig::validate() const
 {
+    engine_config().validate();
     if (num_workers == 0) {
         throw util::ConfigError("service: num_workers must be >= 1");
-    }
-    if (step_threads == 0) {
-        throw util::ConfigError("service: step_threads must be >= 1");
-    }
-    if (prefetch_depth > 64) {
-        throw util::ConfigError("service: prefetch_depth must be <= 64");
-    }
-    if (prefetch_reorder_window > 64) {
-        throw util::ConfigError(
-            "service: prefetch_reorder_window must be <= 64");
-    }
-    if (num_shards == 0 || num_shards > 256) {
-        throw util::ConfigError(
-            "service: num_shards must be in [1, 256]");
     }
     if (max_batch == 0) {
         throw util::ConfigError("service: max_batch must be >= 1");
@@ -53,9 +40,6 @@ ServiceConfig::validate() const
     if (batch_window_seconds < 0.0) {
         throw util::ConfigError(
             "service: batch_window_seconds must be >= 0");
-    }
-    if (block_bytes == 0) {
-        throw util::ConfigError("service: block_bytes must be > 0");
     }
     if (budget_wait_seconds <= 0.0) {
         throw util::ConfigError(
@@ -65,6 +49,21 @@ ServiceConfig::validate() const
         throw util::ConfigError(
             "service: cache_bytes must leave room under memory_budget");
     }
+}
+
+core::EngineConfig
+ServiceConfig::engine_config() const
+{
+    core::EngineConfig ec;
+    // The shared budget is attached explicitly; the engine-local cap
+    // is unused but kept consistent for validation/diagnostics.
+    ec.memory_budget = memory_budget;
+    ec.block_bytes = block_bytes;
+    ec.max_walkers = max_walkers;
+    ec.step_threads = step_threads;
+    ec.prefetch_depth = prefetch_depth;
+    ec.num_shards = num_shards;
+    return ec;
 }
 
 const char *
@@ -105,14 +104,14 @@ class BatchRunner {
         if (config.num_shards > 1) {
             sharded_ =
                 std::make_unique<shard::ShardedEngine<ServiceWalkApp>>(
-                    file, partition, engine_config(config));
+                    file, partition, config.engine_config());
             sharded_->set_shared_budget(budget);
             sharded_->set_shared_cache(cache);
             sharded_->set_step_pool(step_pool);
         } else {
             engine_ =
                 std::make_unique<core::NosWalkerEngine<ServiceWalkApp>>(
-                    file, partition, engine_config(config));
+                    file, partition, config.engine_config());
             engine_->set_shared_budget(budget);
             engine_->set_shared_cache(cache);
             engine_->set_step_pool(step_pool);
@@ -138,23 +137,6 @@ class BatchRunner {
     }
 
   private:
-    static core::EngineConfig
-    engine_config(const ServiceConfig &config)
-    {
-        core::EngineConfig ec;
-        // The shared budget is attached explicitly; the engine-local
-        // cap is unused but kept consistent for validation/diagnostics.
-        ec.memory_budget = config.memory_budget;
-        ec.block_bytes = config.block_bytes;
-        ec.loader_threads = config.loader_threads;
-        ec.max_walkers = config.max_walkers;
-        ec.step_threads = config.step_threads;
-        ec.prefetch_depth = config.prefetch_depth;
-        ec.prefetch_reorder_window = config.prefetch_reorder_window;
-        ec.num_shards = config.num_shards;
-        return ec;
-    }
-
     std::unique_ptr<core::NosWalkerEngine<ServiceWalkApp>> engine_;
     std::unique_ptr<shard::ShardedEngine<ServiceWalkApp>> sharded_;
 };

@@ -2,7 +2,9 @@
  * @file
  * Test-only application that records every transition a walker takes,
  * so property tests can assert "every step follows a real edge" and
- * per-walker step-count invariants against the reference CSR.
+ * per-walker step-count invariants against the reference CSR; the
+ * recording wrappers the bit-identity suites share; and replay_walks,
+ * the independent reference for the engine's walk output.
  */
 #pragma once
 
@@ -16,6 +18,8 @@
 #include "apps/ppr.hpp"
 #include "engine/app.hpp"
 #include "engine/walker.hpp"
+#include "graph/csr_graph.hpp"
+#include "graph/graph_file.hpp"
 #include "util/rng.hpp"
 
 namespace noswalker::testing_support {
@@ -265,6 +269,68 @@ class RecordingNode2Vec {
 
 static_assert(engine::SecondOrderApp<RecordingNode2Vec>);
 static_assert(engine::GatherHintApp<RecordingNode2Vec>);
+
+/** What replay_walks counted, in the engine's RunStats terms. */
+struct ReplayTotals {
+    std::uint64_t steps = 0;
+    std::uint64_t rejection_trials = 0;
+};
+
+/**
+ * Reference walk output with pre-sampling off, computed without the
+ * engine: walkers 0..@p total-1 of @p app walk one at a time straight
+ * over @p graph.  Each event draws its generator with one splitmix_next
+ * on the walker's stream derive_stream(@p seed, id), in the engine's
+ * order: a pending second-order candidate is resolved first, then an
+ * inactive walker or a dead end retires, else one step is sampled.
+ * Blocks, parking, threads, lanes and shards only decide *when* each
+ * event runs, so the engine must reproduce this exactly.
+ */
+template <engine::RandomWalkApp App>
+ReplayTotals
+replay_walks(const graph::CsrGraph &graph, App &app, std::uint64_t total,
+             std::uint64_t seed)
+{
+    static_assert(!engine::kIsWalkerAware<App>);
+    const auto view_of = [&graph](graph::VertexId v) {
+        graph::VertexView view;
+        view.id = v;
+        view.targets = graph.neighbors(v);
+        view.weights = graph.weights(v);
+        return view;
+    };
+    ReplayTotals totals;
+    for (std::uint64_t id = 0; id < total; ++id) {
+        typename App::WalkerT w = app.generate(id);
+        std::uint64_t stream = util::derive_stream(seed, id);
+        for (;;) {
+            if constexpr (engine::kIsSecondOrder<App>) {
+                if (app.has_candidate(w)) {
+                    util::Rng rng(util::splitmix_next(stream));
+                    ++totals.rejection_trials;
+                    if (app.rejection(w, view_of(app.candidate(w)), rng)) {
+                        ++totals.steps;
+                    }
+                    if (!app.active(w)) {
+                        break;
+                    }
+                    continue;
+                }
+            }
+            if (!app.active(w) || graph.degree(w.location) == 0) {
+                break;
+            }
+            util::Rng rng(util::splitmix_next(stream));
+            const graph::VertexId next =
+                app.sample(view_of(w.location), rng);
+            app.action(w, next, rng);
+            if constexpr (!engine::kIsSecondOrder<App>) {
+                ++totals.steps;
+            }
+        }
+    }
+    return totals;
+}
 
 /**
  * A memory budget that is genuinely out-of-core (a fraction of the file)

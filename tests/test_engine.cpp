@@ -14,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
+#include "pipeline_walk.hpp"
 #include "recording_app.hpp"
 #include "storage/mem_device.hpp"
 #include "util/error.hpp"
@@ -242,7 +243,6 @@ TEST(NosWalkerEngine, DeterministicForSeed)
     // unlimited one would retain blocks and skip it (DESIGN.md §16).
     EngineConfig cfg = EngineConfig::full(
         testing_support::tight_budget(*s.file, *s.partition), 4096);
-    cfg.loader_threads = 0; // synchronous: fully deterministic schedule
     testing_support::RecordingWalk app1(6, s.graph.num_vertices());
     testing_support::RecordingWalk app2(6, s.graph.num_vertices());
     NosWalkerEngine<testing_support::RecordingWalk> e1(*s.file,
@@ -354,19 +354,20 @@ TEST(NosWalkerEngine, ZeroWalkersIsANoop)
 
 TEST(NosWalkerEngine, SynchronousLoaderMatchesThreadedStepCount)
 {
+    // The engine loads synchronously only in single-buffer runs; the
+    // two loader modes are compared below it, on the same load loop.
     Fixture s(graph::generate_uniform(800, 8, 7), 4096);
-    const std::uint64_t budget =
-        testing_support::tight_budget(*s.file, *s.partition);
-    EngineConfig async_cfg = EngineConfig::full(budget, 4096);
-    EngineConfig sync_cfg = async_cfg;
-    sync_cfg.loader_threads = 0;
-    apps::BasicRandomWalk a1(6, 800);
-    apps::BasicRandomWalk a2(6, 800);
-    NosWalkerEngine<apps::BasicRandomWalk> e1(*s.file, *s.partition,
-                                              async_cfg);
-    NosWalkerEngine<apps::BasicRandomWalk> e2(*s.file, *s.partition,
-                                              sync_cfg);
-    EXPECT_EQ(e1.run(a1, 300).steps, e2.run(a2, 300).steps);
+    std::vector<testing_support::PipelineWalk> runs;
+    for (const bool background : {false, true}) {
+        runs.push_back(testing_support::pipeline_walk(
+            *s.file, *s.partition, background, /*window=*/2, /*depth=*/2,
+            /*walkers=*/300, /*length=*/6));
+    }
+    EXPECT_EQ(runs[0].steps, 300u * 6);
+    EXPECT_EQ(runs[1].steps, runs[0].steps);
+    EXPECT_EQ(runs[1].endpoints, runs[0].endpoints);
+    EXPECT_DOUBLE_EQ(runs[1].pipeline.io_wait_seconds,
+                     runs[0].pipeline.io_wait_seconds);
 }
 
 TEST(NosWalkerEngine, DeadEndWalkersRetireEarly)
@@ -502,7 +503,7 @@ TEST(EngineConfig, ValidationCatchesNonsense)
     cfg.presamples_per_vertex = 0;
     EXPECT_THROW(cfg.validate(), util::ConfigError);
     cfg = EngineConfig{};
-    cfg.walker_memory_fraction = 1.5;
+    cfg.presamples_per_vertex = kMaxPresamplesPerVertex + 1;
     EXPECT_THROW(cfg.validate(), util::ConfigError);
     cfg = EngineConfig{};
     cfg.presample_memory_fraction = 1.0;

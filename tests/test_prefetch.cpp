@@ -24,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
+#include "pipeline_walk.hpp"
 #include "recording_app.hpp"
 #include "storage/async_loader.hpp"
 #include "storage/block_buffer_pool.hpp"
@@ -249,23 +250,17 @@ TEST_F(PrefetchTest, SyncLoaderMatchesBackgroundLoader)
 {
     // The 0-thread loader emulates the depth-K FIFO exactly: both the
     // walk output and the modeled stall accounting are identical.
-    constexpr std::uint64_t kWalkers = 400;
-    constexpr std::uint32_t kLength = 16;
-    std::vector<std::vector<graph::VertexId>> endpoints;
-    std::vector<double> io_wait;
-    for (const unsigned loader_threads : {0u, 1u}) {
-        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
-                                    kWalkers);
-        core::EngineConfig cfg = config(/*depth=*/2, /*threads=*/1);
-        cfg.loader_threads = loader_threads;
-        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
-            *file_, *partition_, cfg);
-        const auto stats = eng.run(app, kWalkers);
-        endpoints.push_back(app.endpoints);
-        io_wait.push_back(stats.io_wait_seconds);
+    std::vector<testing_support::PipelineWalk> runs;
+    for (const bool background : {false, true}) {
+        runs.push_back(testing_support::pipeline_walk(
+            *file_, *partition_, background, /*window=*/2, /*depth=*/2,
+            /*walkers=*/400, /*length=*/16));
     }
-    EXPECT_EQ(endpoints[1], endpoints[0]);
-    EXPECT_DOUBLE_EQ(io_wait[1], io_wait[0]);
+    EXPECT_GT(runs[0].pipeline.prefetch_hits, 0u);
+    EXPECT_GT(runs[0].pipeline.io_wait_seconds, 0.0);
+    EXPECT_EQ(runs[1].endpoints, runs[0].endpoints);
+    EXPECT_DOUBLE_EQ(runs[1].pipeline.io_wait_seconds,
+                     runs[0].pipeline.io_wait_seconds);
 }
 
 TEST_F(PrefetchTest, IoWaitDropsWithDepth)
@@ -440,38 +435,23 @@ TEST_F(PrefetchTest, MispredictDemotesToCacheAndResteers)
 TEST_F(PrefetchTest, WalkIsBitIdenticalAcrossReorderWindows)
 {
     // Out-of-order consumption changes when bytes arrive, never which
-    // block the engine processes (always the scheduler's hottest), so
-    // FIFO, a bounded window, and fully out-of-order delivery produce
-    // the same walk bit-for-bit at every thread count.
-    constexpr std::uint64_t kWalkers = 600;
-    constexpr std::uint32_t kLength = 24;
-    std::vector<std::vector<graph::VertexId>> endpoints;
-    std::vector<std::vector<std::uint32_t>> visits;
-    std::vector<std::uint64_t> steps;
-    for (const unsigned threads : {1u, 8u}) {
-        for (const unsigned window : {0u, 2u, 4u}) {
-            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
-                                        kWalkers);
-            core::EngineConfig cfg = config(/*depth=*/4, threads);
-            cfg.prefetch_reorder_window = window;
-            core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
-                *file_, *partition_, cfg);
-            const auto stats = eng.run(app, kWalkers);
-            EXPECT_GT(stats.prefetch_hits, 0u) << "window " << window;
-            endpoints.push_back(app.endpoints);
-            std::vector<std::uint32_t> v(app.visits.size());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                v[i] = app.visits[i].load();
-            }
-            visits.push_back(std::move(v));
-            steps.push_back(stats.steps);
+    // block is processed (always the scheduler's hottest), so FIFO, a
+    // bounded window, and fully out-of-order delivery produce the same
+    // walk bit-for-bit in both loader threading modes.
+    std::vector<testing_support::PipelineWalk> runs;
+    for (const bool background : {false, true}) {
+        for (const std::size_t window : {0u, 2u, 4u}) {
+            runs.push_back(testing_support::pipeline_walk(
+                *file_, *partition_, background, window, /*depth=*/4,
+                /*walkers=*/600, /*length=*/24));
+            EXPECT_GT(runs.back().pipeline.prefetch_hits, 0u)
+                << "window " << window;
         }
     }
-    EXPECT_GT(steps[0], 0u);
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-        EXPECT_EQ(visits[t], visits[0]) << "config " << t;
+    EXPECT_GT(runs[0].steps, 0u);
+    for (std::size_t t = 1; t < runs.size(); ++t) {
+        EXPECT_EQ(runs[t].steps, runs[0].steps) << "config " << t;
+        EXPECT_EQ(runs[t].endpoints, runs[0].endpoints) << "config " << t;
     }
 }
 

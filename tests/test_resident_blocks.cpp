@@ -3,9 +3,9 @@
  * Block retention under an unlimited budget (DESIGN.md §16): an engine
  * that owns an unlimited budget keeps every processed block resident,
  * so each block is read at most once and pre-sampling is skipped.
- * Walk output stays bit-identical across step threads, prefetch depth
- * and step cohort.  Retention must never engage under a
- * finite budget, a shared budget or cache, or inside shard rounds.
+ * Walk output stays bit-identical across step threads and prefetch
+ * depth.  Retention must never engage under a finite budget, a shared
+ * budget or cache, or inside shard rounds.
  */
 #include <gtest/gtest.h>
 
@@ -97,29 +97,26 @@ TEST_F(ResidentBlocks, UnlimitedBudgetReadsEachBlockOnce)
               file_->index_bytes() + file_->edge_region_bytes());
 }
 
-TEST_F(ResidentBlocks, BasicWalkBitIdenticalAcrossThreadsDepthsCohorts)
+TEST_F(ResidentBlocks, BasicWalkBitIdenticalAcrossThreadsDepths)
 {
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
     std::vector<engine::RunStats> stats;
     for (const unsigned threads : {1u, 4u}) {
         for (const unsigned depth : {0u, 1u, 4u}) {
-            for (const unsigned cohort : {1u, 16u}) {
-                ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
-                                            kWalkers);
-                core::EngineConfig cfg = config();
-                cfg.step_threads = threads;
-                cfg.prefetch_depth = depth;
-                cfg.step_cohort = cohort;
-                core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
-                    *file_, *partition_, cfg);
-                stats.push_back(eng.run(app, kWalkers));
-                endpoints.push_back(app.endpoints);
-                visits.push_back(visits_of(app));
-                EXPECT_LE(stats.back().blocks_loaded,
-                          partition_->num_blocks());
-                EXPECT_EQ(stats.back().presample_steps, 0u);
-            }
+            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                        kWalkers);
+            core::EngineConfig cfg = config();
+            cfg.step_threads = threads;
+            cfg.prefetch_depth = depth;
+            core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+                *file_, *partition_, cfg);
+            stats.push_back(eng.run(app, kWalkers));
+            endpoints.push_back(app.endpoints);
+            visits.push_back(visits_of(app));
+            EXPECT_LE(stats.back().blocks_loaded,
+                      partition_->num_blocks());
+            EXPECT_EQ(stats.back().presample_steps, 0u);
         }
     }
     for (std::size_t t = 1; t < endpoints.size(); ++t) {
@@ -130,26 +127,23 @@ TEST_F(ResidentBlocks, BasicWalkBitIdenticalAcrossThreadsDepthsCohorts)
     }
 }
 
-TEST_F(ResidentBlocks, Node2VecBitIdenticalAcrossThreadsDepthsCohorts)
+TEST_F(ResidentBlocks, Node2VecBitIdenticalAcrossThreadsDepths)
 {
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<engine::RunStats> stats;
     for (const unsigned threads : {1u, 4u}) {
         for (const unsigned depth : {0u, 1u, 4u}) {
-            for (const unsigned cohort : {1u, 16u}) {
-                RecordingNode2Vec app(2.0, 0.5, 10, file_->num_vertices(), 1);
-                core::EngineConfig cfg = config();
-                cfg.step_threads = threads;
-                cfg.prefetch_depth = depth;
-                cfg.step_cohort = cohort;
-                core::NosWalkerEngine<RecordingNode2Vec> eng(
-                    *file_, *partition_, cfg);
-                stats.push_back(eng.run(app, app.total_walkers()));
-                endpoints.push_back(app.endpoints);
-                EXPECT_LE(stats.back().blocks_loaded,
-                          partition_->num_blocks());
-                EXPECT_EQ(stats.back().presample_steps, 0u);
-            }
+            RecordingNode2Vec app(2.0, 0.5, 10, file_->num_vertices(), 1);
+            core::EngineConfig cfg = config();
+            cfg.step_threads = threads;
+            cfg.prefetch_depth = depth;
+            core::NosWalkerEngine<RecordingNode2Vec> eng(
+                *file_, *partition_, cfg);
+            stats.push_back(eng.run(app, app.total_walkers()));
+            endpoints.push_back(app.endpoints);
+            EXPECT_LE(stats.back().blocks_loaded,
+                      partition_->num_blocks());
+            EXPECT_EQ(stats.back().presample_steps, 0u);
         }
     }
     EXPECT_GT(stats[0].rejection_trials, 0u);

@@ -17,6 +17,7 @@
 #include "graph/partition.hpp"
 #include "service/walk_service.hpp"
 #include "storage/mem_device.hpp"
+#include "util/error.hpp"
 
 namespace noswalker::service {
 namespace {
@@ -547,6 +548,52 @@ TEST(WalkService, MalformedRequestsFailFast)
               WalkStatus::kFailed);
 
     EXPECT_EQ(service.counters().failed, 3u);
+}
+
+TEST(WalkService, ConfigValidationRejectsNonsense)
+{
+    // Each service-only throw, then the engine ranges, which validate()
+    // checks through engine_config() rather than repeating them.
+    const std::vector<void (*)(ServiceConfig &)> breakers{
+        [](ServiceConfig &c) { c.num_workers = 0; },
+        [](ServiceConfig &c) { c.max_batch = 0; },
+        [](ServiceConfig &c) { c.batch_window_seconds = -0.001; },
+        [](ServiceConfig &c) { c.budget_wait_seconds = 0.0; },
+        [](ServiceConfig &c) {
+            c.memory_budget = 1 << 20;
+            c.cache_bytes = 1 << 20;
+        },
+        [](ServiceConfig &c) { c.step_threads = 0; },
+        [](ServiceConfig &c) { c.prefetch_depth = 65; },
+        [](ServiceConfig &c) { c.num_shards = 0; },
+        [](ServiceConfig &c) { c.num_shards = 257; },
+        [](ServiceConfig &c) { c.block_bytes = 0; },
+    };
+    Fixture s(graph::generate_uniform(100, 8, 5), 4096);
+    for (std::size_t i = 0; i < breakers.size(); ++i) {
+        ServiceConfig cfg;
+        breakers[i](cfg);
+        EXPECT_THROW(cfg.validate(), util::ConfigError) << "case " << i;
+        EXPECT_THROW(WalkService(*s.file, *s.partition, cfg),
+                     util::ConfigError)
+            << "case " << i;
+    }
+    EXPECT_NO_THROW(ServiceConfig{}.validate());
+
+    ServiceConfig cfg;
+    cfg.memory_budget = 8 << 20;
+    cfg.block_bytes = 4096;
+    cfg.max_walkers = 77;
+    cfg.step_threads = 3;
+    cfg.prefetch_depth = 5;
+    cfg.num_shards = 2;
+    const core::EngineConfig ec = cfg.engine_config();
+    EXPECT_EQ(ec.memory_budget, cfg.memory_budget);
+    EXPECT_EQ(ec.block_bytes, cfg.block_bytes);
+    EXPECT_EQ(ec.max_walkers, cfg.max_walkers);
+    EXPECT_EQ(ec.step_threads, cfg.step_threads);
+    EXPECT_EQ(ec.prefetch_depth, cfg.prefetch_depth);
+    EXPECT_EQ(ec.num_shards, cfg.num_shards);
 }
 
 TEST(WalkService, SubmitAfterStopReturnsShutdown)

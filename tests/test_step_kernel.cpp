@@ -1,11 +1,14 @@
 /**
  * @file
- * The tentpole guarantee of the interleaved cohort step kernel
- * (DESIGN.md §12): walk output is bit-identical to the legacy scalar
- * loop at every cohort size × step-thread count × shard count, for
+ * The guarantee of the interleaved cohort step kernel (DESIGN.md §12),
+ * the engine's only step loop: with pre-sampling off, walk output
+ * equals the test-side replay oracle (replay_walks, which walks each
+ * walker straight over the CSR graph) at every step-thread count ×
+ * budget (tight, or unlimited with retained blocks) × shard count, for
  * first-order, walk-length-budgeted PPR, and second-order Node2Vec
- * workloads.  Cohorting only changes *when* each walker's cache lines
- * are requested, never which step it takes.
+ * workloads.  Lanes only change *when* each walker's cache lines are
+ * requested, never which step it takes.  With pre-sampling on, the
+ * output stays identical across step-thread counts.
  *
  * Also covered: AliasTable::sample_batch draw-for-draw equivalence
  * with sequential sample() (the kernel's batched-draw building block),
@@ -15,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/noswalker_engine.hpp"
@@ -34,6 +38,7 @@ namespace {
 using testing_support::ConcurrentRecordingWalk;
 using testing_support::RecordingNode2Vec;
 using testing_support::RecordingPpr;
+using testing_support::ReplayTotals;
 
 TEST(AliasTableBatch, SampleBatchMatchesSequentialDrawForDraw)
 {
@@ -71,30 +76,32 @@ TEST(RunStatsKernel, CountersAggregateAndScale)
     engine::RunStats a;
     a.kernel_cohorts = 10;
     a.kernel_prefetches = 1000;
-    a.kernel_scalar_fallbacks = 4;
     engine::RunStats b;
     b.kernel_cohorts = 6;
     b.kernel_prefetches = 200;
-    b.kernel_scalar_fallbacks = 1;
 
     a += b;
     EXPECT_EQ(a.kernel_cohorts, 16u);
     EXPECT_EQ(a.kernel_prefetches, 1200u);
-    EXPECT_EQ(a.kernel_scalar_fallbacks, 5u);
 
     const engine::RunStats half = a.scaled(0.5);
     EXPECT_EQ(half.kernel_cohorts, 8u);
     EXPECT_EQ(half.kernel_prefetches, 600u);
-    EXPECT_EQ(half.kernel_scalar_fallbacks, 3u); // rounds half-up
 
     const std::string dump = a.to_string();
     EXPECT_NE(dump.find("kernel_cohorts=16"), std::string::npos);
     EXPECT_NE(dump.find("kernel_prefetches=1200"), std::string::npos);
-    EXPECT_NE(dump.find("kernel_scalar_fallbacks=5"), std::string::npos);
 }
 
 class StepKernelTest : public testing::Test {
   protected:
+    /** One engine configuration of the oracle matrix. */
+    struct Setup {
+        unsigned threads = 1;
+        bool tight = true;
+        unsigned shards = 1;
+    };
+
     void
     SetUp() override
     {
@@ -108,16 +115,63 @@ class StepKernelTest : public testing::Test {
             *file_, file_->edge_region_bytes() / 8);
     }
 
+    /** step_threads {1, 8} × {tight, unlimited} budget × shards {1, 2}. */
+    static std::vector<Setup>
+    matrix()
+    {
+        std::vector<Setup> out;
+        for (const unsigned threads : {1u, 8u}) {
+            for (const bool tight : {true, false}) {
+                for (const unsigned shards : {1u, 2u}) {
+                    out.push_back({threads, tight, shards});
+                }
+            }
+        }
+        return out;
+    }
+
     core::EngineConfig
-    config(unsigned cohort, unsigned threads, bool presample) const
+    config(const Setup &setup, bool presample) const
     {
         core::EngineConfig cfg = core::EngineConfig::full(
-            testing_support::tight_budget(*file_, *partition_),
+            setup.tight
+                ? testing_support::tight_budget(*file_, *partition_)
+                : 0,
             partition_->max_block_bytes());
-        cfg.step_cohort = cohort;
-        cfg.step_threads = threads;
+        cfg.step_threads = setup.threads;
+        cfg.num_shards = setup.shards;
         cfg.presample = presample;
         return cfg;
+    }
+
+    /** Run @p app on the plain engine, or the sharded one past 1 shard. */
+    template <typename App>
+    engine::RunStats
+    run(App &app, std::uint64_t walkers, const core::EngineConfig &cfg)
+    {
+        if (cfg.num_shards > 1) {
+            shard::ShardedEngine<App> eng(*file_, *partition_, cfg);
+            return eng.run(app, walkers);
+        }
+        core::NosWalkerEngine<App> eng(*file_, *partition_, cfg);
+        return eng.run(app, walkers);
+    }
+
+    static std::string
+    describe(const Setup &setup)
+    {
+        return std::to_string(setup.threads) + " threads, " +
+               (setup.tight ? "tight" : "unlimited") + " budget, " +
+               std::to_string(setup.shards) + " shards";
+    }
+
+    /** The kernel stepped every span: no scalar fallback exists. */
+    static void
+    expect_kernel_only(const engine::RunStats &stats, const Setup &setup)
+    {
+        EXPECT_GT(stats.kernel_cohorts, 0u) << describe(setup);
+        EXPECT_GT(stats.kernel_prefetches, 0u) << describe(setup);
+        EXPECT_EQ(stats.kernel_scalar_fallbacks, 0u) << describe(setup);
     }
 
     graph::CsrGraph graph_;
@@ -126,139 +180,147 @@ class StepKernelTest : public testing::Test {
     std::unique_ptr<graph::BlockPartition> partition_;
 };
 
-TEST_F(StepKernelTest, BasicWalkBitIdenticalAcrossCohortSizes)
+template <typename App>
+std::vector<std::uint32_t>
+visits_of(const App &app)
+{
+    std::vector<std::uint32_t> v(app.visits.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = app.visits[i].load();
+    }
+    return v;
+}
+
+TEST_F(StepKernelTest, BasicWalkMatchesReplayOracle)
 {
     constexpr std::uint64_t kWalkers = 600;
     constexpr std::uint32_t kLength = 24;
+    ConcurrentRecordingWalk oracle(kLength, file_->num_vertices(),
+                                   kWalkers);
+    const ReplayTotals want = testing_support::replay_walks(
+        graph_, oracle, kWalkers, core::EngineConfig{}.seed);
+    EXPECT_GT(want.steps, 0u);
+    EXPECT_LE(want.steps, kWalkers * kLength);
+    for (const Setup &setup : matrix()) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        const auto stats =
+            run(app, kWalkers, config(setup, /*presample=*/false));
+        expect_kernel_only(stats, setup);
+        EXPECT_EQ(stats.steps, want.steps) << describe(setup);
+        EXPECT_EQ(app.endpoints, oracle.endpoints) << describe(setup);
+        EXPECT_EQ(visits_of(app), visits_of(oracle)) << describe(setup);
+    }
+
+    // Pre-sampled steps draw from shared reservoirs, so the oracle does
+    // not apply; the output must still not depend on the thread count.
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
-    std::vector<std::uint64_t> steps;
-    for (const unsigned cohort : {0u, 4u, 16u}) {
-        for (const unsigned threads : {1u, 8u}) {
-            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
-                                        kWalkers);
-            core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
-                *file_, *partition_,
-                config(cohort, threads, /*presample=*/true));
-            const auto stats = eng.run(app, kWalkers);
-            endpoints.push_back(app.endpoints);
-            std::vector<std::uint32_t> v(app.visits.size());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                v[i] = app.visits[i].load();
-            }
-            visits.push_back(std::move(v));
-            steps.push_back(stats.steps);
-            if (cohort == 0) {
-                EXPECT_EQ(stats.kernel_cohorts, 0u);
-                EXPECT_GT(stats.kernel_scalar_fallbacks, 0u);
-            } else {
-                EXPECT_GT(stats.kernel_cohorts, 0u);
-                EXPECT_GT(stats.kernel_prefetches, 0u);
-            }
-        }
+    for (const unsigned threads : {1u, 8u}) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        const auto stats =
+            run(app, kWalkers, config({threads, true, 1}, true));
+        EXPECT_GT(stats.presample_steps, 0u);
+        endpoints.push_back(app.endpoints);
+        visits.push_back(visits_of(app));
     }
-    EXPECT_GT(steps[0], 0u);
-    EXPECT_LE(steps[0], kWalkers * kLength);
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-        EXPECT_EQ(visits[t], visits[0]) << "config " << t;
-    }
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_EQ(visits[1], visits[0]);
 }
 
-TEST_F(StepKernelTest, PprBitIdenticalAcrossCohortSizes)
+TEST_F(StepKernelTest, PprMatchesReplayOracle)
 {
     // A few query sources spread across the id range, so the walkers
     // hop blocks and exercise park/stall paths under the kernel.
     const graph::VertexId n = file_->num_vertices();
-    const std::vector<graph::VertexId> sources{
-        0, n / 3, n / 2, n - 1};
+    const std::vector<graph::VertexId> sources{0, n / 3, n / 2, n - 1};
     constexpr std::uint64_t kWalksPerSource = 120;
     constexpr std::uint32_t kLength = 12;
+    RecordingPpr oracle(sources, kWalksPerSource, kLength, n);
+    const ReplayTotals want = testing_support::replay_walks(
+        graph_, oracle, oracle.total_walkers(), core::EngineConfig{}.seed);
+    EXPECT_GT(want.steps, 0u);
+    for (const Setup &setup : matrix()) {
+        RecordingPpr app(sources, kWalksPerSource, kLength, n);
+        const auto stats = run(app, app.total_walkers(),
+                               config(setup, /*presample=*/false));
+        expect_kernel_only(stats, setup);
+        EXPECT_EQ(stats.steps, want.steps) << describe(setup);
+        EXPECT_EQ(app.endpoints, oracle.endpoints) << describe(setup);
+        EXPECT_EQ(visits_of(app), visits_of(oracle)) << describe(setup);
+    }
+
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
-    std::vector<std::uint64_t> steps;
-    for (const unsigned cohort : {0u, 4u, 16u}) {
-        for (const unsigned threads : {1u, 8u}) {
-            RecordingPpr app(sources, kWalksPerSource, kLength, n);
-            core::NosWalkerEngine<RecordingPpr> eng(
-                *file_, *partition_,
-                config(cohort, threads, /*presample=*/true));
-            const auto stats = eng.run(app, app.total_walkers());
-            endpoints.push_back(app.endpoints);
-            std::vector<std::uint32_t> v(app.visits.size());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                v[i] = app.visits[i].load();
-            }
-            visits.push_back(std::move(v));
-            steps.push_back(stats.steps);
-        }
+    for (const unsigned threads : {1u, 8u}) {
+        RecordingPpr app(sources, kWalksPerSource, kLength, n);
+        run(app, app.total_walkers(), config({threads, true, 1}, true));
+        endpoints.push_back(app.endpoints);
+        visits.push_back(visits_of(app));
     }
-    EXPECT_GT(steps[0], 0u);
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-        EXPECT_EQ(visits[t], visits[0]) << "config " << t;
-    }
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_EQ(visits[1], visits[0]);
 }
 
-TEST_F(StepKernelTest, Node2VecBitIdenticalAcrossCohortSizes)
+TEST_F(StepKernelTest, Node2VecMatchesReplayOracle)
 {
+    const graph::VertexId n = file_->num_vertices();
+    RecordingNode2Vec oracle(2.0, 0.5, 12, n, 2);
+    const ReplayTotals want = testing_support::replay_walks(
+        graph_, oracle, oracle.total_walkers(), core::EngineConfig{}.seed);
+    EXPECT_GT(want.rejection_trials, want.steps)
+        << "some candidates must be rejected";
+    for (const Setup &setup : matrix()) {
+        RecordingNode2Vec app(2.0, 0.5, 12, n, 2);
+        const auto stats = run(app, app.total_walkers(),
+                               config(setup, /*presample=*/false));
+        EXPECT_EQ(stats.kernel_scalar_fallbacks, 0u) << describe(setup);
+        EXPECT_EQ(stats.steps, want.steps) << describe(setup);
+        EXPECT_EQ(stats.rejection_trials, want.rejection_trials)
+            << describe(setup);
+        EXPECT_EQ(app.endpoints, oracle.endpoints) << describe(setup);
+    }
+
     std::vector<std::vector<graph::VertexId>> endpoints;
-    std::vector<std::uint64_t> steps;
     std::vector<std::uint64_t> trials;
-    for (const unsigned cohort : {0u, 4u, 16u}) {
-        for (const unsigned threads : {1u, 8u}) {
-            RecordingNode2Vec app(2.0, 0.5, 12, file_->num_vertices(),
-                                  2);
-            core::NosWalkerEngine<RecordingNode2Vec> eng(
-                *file_, *partition_,
-                config(cohort, threads, /*presample=*/true));
-            const auto stats = eng.run(app, app.total_walkers());
-            endpoints.push_back(app.endpoints);
-            steps.push_back(stats.steps);
-            trials.push_back(stats.rejection_trials);
-        }
+    for (const unsigned threads : {1u, 8u}) {
+        RecordingNode2Vec app(2.0, 0.5, 12, n, 2);
+        const auto stats = run(app, app.total_walkers(),
+                               config({threads, true, 1}, true));
+        endpoints.push_back(app.endpoints);
+        trials.push_back(stats.rejection_trials);
     }
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(trials[t], trials[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-    }
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_EQ(trials[1], trials[0]);
 }
 
-TEST_F(StepKernelTest, ShardedRunsBitIdenticalAcrossCohortSizes)
+TEST_F(StepKernelTest, ShardedRunsMatchReplayOracle)
 {
-    // Shard rounds run with pre-sampling off (DESIGN.md §11), so the
-    // baseline is a presample-off scalar single-shard run.
+    // Finer shard splits than the matrix: walkers cross shard
+    // boundaries often, so emigrant outcomes pass through the kernel.
+    // The tight budget cannot hold 4 shards' floors; shard rounds
+    // never retain blocks, so an unlimited one still walks out of core.
     constexpr std::uint64_t kWalkers = 400;
     constexpr std::uint32_t kLength = 16;
-
-    ConcurrentRecordingWalk base_app(kLength, file_->num_vertices(),
-                                     kWalkers);
-    core::NosWalkerEngine<ConcurrentRecordingWalk> base(
-        *file_, *partition_, config(0, 1, /*presample=*/false));
-    base.run(base_app, kWalkers);
-
-    for (const unsigned shards : {1u, 2u}) {
-        for (const unsigned cohort : {0u, 4u, 16u}) {
-            for (const unsigned threads : {1u, 8u}) {
-                ConcurrentRecordingWalk app(
-                    kLength, file_->num_vertices(), kWalkers);
-                core::EngineConfig cfg =
-                    config(cohort, threads, /*presample=*/false);
-                cfg.num_shards = shards;
-                shard::ShardedEngine<ConcurrentRecordingWalk> eng(
-                    *file_, *partition_, cfg);
-                eng.run(app, kWalkers);
-                EXPECT_EQ(app.endpoints, base_app.endpoints)
-                    << shards << " shards, cohort " << cohort << ", "
-                    << threads << " threads";
-            }
+    ConcurrentRecordingWalk oracle(kLength, file_->num_vertices(),
+                                   kWalkers);
+    const ReplayTotals want = testing_support::replay_walks(
+        graph_, oracle, kWalkers, core::EngineConfig{}.seed);
+    for (const unsigned shards : {4u, 8u}) {
+        for (const unsigned threads : {1u, 8u}) {
+            const Setup setup{threads, false, shards};
+            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                        kWalkers);
+            const auto stats =
+                run(app, kWalkers, config(setup, /*presample=*/false));
+            EXPECT_GT(stats.migrations, 0u) << describe(setup);
+            expect_kernel_only(stats, setup);
+            EXPECT_EQ(stats.steps, want.steps) << describe(setup);
+            EXPECT_EQ(app.endpoints, oracle.endpoints) << describe(setup);
         }
     }
 }
 
 } // namespace
 } // namespace noswalker
-
