@@ -319,9 +319,11 @@ class NosWalkerEngine {
      * One step worker's private accumulator: stats deltas plus walkers
      * to park.  Merged into the engine's single-writer structures by
      * apply_delta() on the scheduler thread, in worker-index order, so
-     * the merge is deterministic.
+     * the merge is deterministic.  Cache-line aligned: workers bump
+     * these counters on every step and the deltas sit side by side in
+     * one vector, so a delta must not share a line with its neighbour.
      */
-    struct StepDelta {
+    struct alignas(64) StepDelta {
         std::uint64_t steps = 0;
         std::uint64_t block_steps = 0;
         std::uint64_t presample_steps = 0;
