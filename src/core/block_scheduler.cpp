@@ -1,8 +1,5 @@
 #include "core/block_scheduler.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 #include "util/error.hpp"
 
 namespace noswalker::core {
@@ -25,11 +22,10 @@ BlockScheduler::remove_walker(std::uint32_t block)
 void
 BlockScheduler::remove_walkers(std::uint32_t block, std::uint64_t n)
 {
-    assert(counts_[block] >= n);
-    // Clamp rather than wrap: an underflowing subtraction would turn
-    // the bucket into a ~2^64 "hottest" block and wedge the schedule
-    // on it forever in release builds.
-    counts_[block] -= std::min(counts_[block], n);
+    // An underflowing subtraction would turn the bucket into a ~2^64
+    // "hottest" block and wedge the schedule on it forever.
+    NOSWALKER_CHECK(counts_[block] >= n);
+    counts_[block] -= n;
 }
 
 std::uint32_t

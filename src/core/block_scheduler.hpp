@@ -43,9 +43,8 @@ class BlockScheduler {
 
     /**
      * Remove @p n walkers from @p block at once.  Removing more than
-     * are waiting asserts in debug builds and clamps to zero in
-     * release builds — an underflow wrap would make the bucket the
-     * hottest block forever.
+     * are waiting aborts in every build (NOSWALKER_CHECK) — an
+     * underflow wrap would make the bucket the hottest block forever.
      */
     void remove_walkers(std::uint32_t block, std::uint64_t n);
 

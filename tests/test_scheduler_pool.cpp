@@ -38,21 +38,18 @@ TEST(BlockScheduler, CountsTracked)
     EXPECT_EQ(sched.count(1), 0u);
 }
 
-TEST(BlockScheduler, RemoveWalkersUnderflowClampsInsteadOfWrapping)
+TEST(BlockScheduler, RemoveWalkersUnderflowAborts)
 {
     // Regression: remove_walkers(b, n) with n > count used to wrap the
     // unsigned bucket to ~2^64, wedging the schedule on block b
-    // forever.  Release builds clamp to zero; debug builds assert.
+    // forever.  Every build type aborts on it.
     core::BlockScheduler sched(4, 4.0, 1 << 20, 4096);
     sched.add_walker(1);
     sched.add_walker(2);
-#ifdef NDEBUG
-    sched.remove_walkers(1, 5); // over-removal clamps...
+    EXPECT_DEATH(sched.remove_walkers(1, 5), "NOSWALKER_CHECK failed");
+    sched.remove_walkers(1, 1);
     EXPECT_EQ(sched.count(1), 0u);
-    EXPECT_EQ(sched.hottest(), 2u) << "block 1 must not wrap hottest";
-#else
-    EXPECT_DEATH(sched.remove_walkers(1, 5), "");
-#endif
+    EXPECT_EQ(sched.hottest(), 2u);
 }
 
 TEST(BlockScheduler, HottestBreaksTiesTowardLowestBlockId)
